@@ -108,22 +108,10 @@ def all_criteria(schmidt: SchmidtForm, norm_sq: float) -> tuple[CriterionVerdict
     )
 
 
-_BY_CRITERION = {
-    Criterion.GEOMETRIC_ENTANGLEMENT: lambda s, n: entanglement_criterion(s, n),
-    Criterion.GEOMETRIC_STEERING: lambda s, n: steering_criterion(s, n),
-    Criterion.GEOMETRIC_BELL: lambda s, n: bell_criterion(s, n),
-    Criterion.CHSH_HORODECKI: lambda s, n: chsh_criterion(s),
-}
-
-
-def evaluate(criterion: Criterion, schmidt: SchmidtForm, norm_sq: float):
-    return _BY_CRITERION[criterion](schmidt, norm_sq)
-
-
 def _detects(family: "NoiseFamily", criterion: Criterion, v: float) -> bool:
     tensor = pauli_expansion(family.state_at(v))
-    schmidt = svd3(tensor.block)
-    return evaluate(criterion, schmidt, tensor_norm_sq(tensor)).detected
+    verdicts = all_criteria(svd3(tensor.block), tensor_norm_sq(tensor))
+    return next(v for v in verdicts if v.criterion is criterion).detected
 
 
 def critical_noise(

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .criteria import tensor_norm_sq
 from .sphere import SphereGrid, sphere_grid, uniform_sphere
@@ -207,40 +206,34 @@ def saturating_model(schmidt: SchmidtForm) -> HiddenStateModel:
     )
 
 
-def _component_overlap(block: np.ndarray, comp: ModelComponent, n_theta: int,
-                       fallback_grid: SphereGrid) -> float:
-    # m-integral of I(m) (m . T lambda) after the exact n-reduction.
-    c = block @ comp.hidden_state
-    response = comp.response
-    if hasattr(response, "breakpoints"):
-        grid = sphere_grid(
-            n_theta,
-            breakpoints=response.breakpoints,
-            axis=getattr(response, "axis", None),
-        )
-    else:
-        grid = fallback_grid
-    values = np.asarray(response(grid.points), dtype=float) * (grid.points @ c)
-    return float(np.sum(grid.weights * values))
-
-
 def model_state_overlap(tensor, model: HiddenStateModel, n_theta: int = 6,
                         fallback_grid: SphereGrid | None = None) -> float:
     """(E_Q, E_NS) with the n-integral done analytically.
 
     Exact for the built-in response families; arbitrary callables without
-    declared kink structure are integrated on ``fallback_grid`` and may
-    lose accuracy at discontinuities (use the Monte Carlo route for
-    those).
+    declared kink structure are integrated on ``fallback_grid`` (built as
+    ``sphere_grid(48)`` on first need when not given) and may lose
+    accuracy at discontinuities (use the Monte Carlo route for those).
     """
-    if fallback_grid is None:
-        fallback_grid = sphere_grid(48)
     block = tensor.block
-    total = math.fsum(
-        comp.weight * _component_overlap(block, comp, n_theta, fallback_grid)
-        for comp in model.components
-    )
-    return (4.0 * math.pi / 3.0) * total
+    terms = []
+    for comp in model.components:
+        response = comp.response
+        if hasattr(response, "breakpoints"):
+            grid = sphere_grid(
+                n_theta,
+                breakpoints=response.breakpoints,
+                axis=getattr(response, "axis", None),
+            )
+        else:
+            if fallback_grid is None:
+                fallback_grid = sphere_grid(48)
+            grid = fallback_grid
+        # m-integral of I(m) (m . T lambda) after the exact n-reduction.
+        c = block @ comp.hidden_state
+        values = np.asarray(response(grid.points), dtype=float) * (grid.points @ c)
+        terms.append(comp.weight * float(np.sum(grid.weights * values)))
+    return (4.0 * math.pi / 3.0) * math.fsum(terms)
 
 
 def model_state_overlap_mc(tensor, model: HiddenStateModel, samples: int,
@@ -326,54 +319,25 @@ def _direction_grid(step_deg: float) -> np.ndarray:
     return np.column_stack([x, y, z])
 
 
-def _spherical(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
-         math.cos(theta)]
-    )
-
-
-def chsh_ns_max(step_deg: float = 15.0, refine: bool = True) -> float:
+def chsh_ns_max(step_deg: float = 15.0) -> float:
     """Maximize the two-setting expression over all directions.
 
-    Deterministic coarse scan over a step_deg grid for each of the three
-    directions, then Nelder-Mead refinement from the best grid point. The
-    analytic maximum is 2, so this validates the optimizer rather than
-    trusting it.
+    Deterministic scan over a step_deg grid for each of the three
+    directions. With a = b1 + b2 and b = b1 - b2, which are orthogonal,
+    the expression |a . lambda| + |b . lambda| is at most
+    sqrt(|a|^2 + |b|^2) = 2. Every grid contains the pole theta = 0, so
+    the scan includes b1 = b2 = lambda = z, which attains exactly 2, and
+    no refinement can improve on it. The scan thus checks the analytic
+    maximum from both sides: no grid triple exceeds it, and one reaches it.
     """
     dirs = _direction_grid(step_deg)
     dots = dirs @ dirs.T
     best = -np.inf
-    best_idx = (0, 0, 0)
     chunk = max(1, int(2e6 // (len(dirs) ** 2)) or 1)
     for start in range(0, len(dirs), chunk):
         cols = dots[:, start:start + chunk]
         values = np.abs(cols[:, None, :] + cols[None, :, :]) + np.abs(
             cols[:, None, :] - cols[None, :, :]
         )
-        flat = int(np.argmax(values))
-        if values.flat[flat] > best:
-            best = float(values.flat[flat])
-            i, j, k = np.unravel_index(flat, values.shape)
-            best_idx = (int(i), int(j), start + int(k))
-    if not refine:
-        return best
-
-    def angles(v: np.ndarray) -> tuple[float, float]:
-        return math.acos(max(-1.0, min(1.0, v[2]))), math.atan2(v[1], v[0])
-
-    x0 = np.concatenate(
-        [angles(dirs[best_idx[0]]), angles(dirs[best_idx[1]]),
-         angles(dirs[best_idx[2]])]
-    )
-
-    def negated(x):
-        return -chsh_ns_value(
-            _spherical(x[0], x[1]), _spherical(x[2], x[3]), _spherical(x[4], x[5])
-        )
-
-    result = minimize(
-        negated, x0, method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-    )
-    return max(best, float(-result.fun))
+        best = max(best, float(values.max()))
+    return best

@@ -112,23 +112,13 @@ def sphere_grid(
     return SphereGrid(pts, wts, n_theta, n_phi, bps)
 
 
-def _chunked_dot(weights: np.ndarray, values: np.ndarray, chunks: int) -> float:
-    terms = weights * values
-    if chunks <= 1:
-        return float(terms.sum())
-    # Exact accumulation of the per-chunk pairwise sums keeps the result
-    # stable (within ~1e-13 of scale) across partition counts.
-    return math.fsum(float(part.sum()) for part in np.array_split(terms, chunks))
-
-
-def integrate(grid: SphereGrid, f, chunks: int = 1) -> float:
+def integrate(grid: SphereGrid, f) -> float:
     """Integrate f over the sphere; f maps an (n, 3) point array to (n,)."""
     values = np.asarray(f(grid.points), dtype=float)
-    return _chunked_dot(grid.weights, values, chunks)
+    return float((grid.weights * values).sum())
 
 
-def inner_product(f, g, grid_m: SphereGrid, grid_n: SphereGrid | None = None,
-                  chunks: int = 1) -> float:
+def inner_product(f, g, grid_m: SphereGrid, grid_n: SphereGrid | None = None) -> float:
     """Scalar product (f, g) = integral of f*g over the product of spheres.
 
     f and g take paired point arrays (m, n), each of shape (k, 3).
@@ -138,7 +128,7 @@ def inner_product(f, g, grid_m: SphereGrid, grid_n: SphereGrid | None = None,
     n = np.tile(gn.points, (len(grid_m), 1))
     w = np.repeat(grid_m.weights, len(gn)) * np.tile(gn.weights, len(grid_m))
     values = np.asarray(f(m, n), dtype=float) * np.asarray(g(m, n), dtype=float)
-    return _chunked_dot(w, values, chunks)
+    return float((w * values).sum())
 
 
 def verify_orthogonality(grid: SphereGrid) -> float:
@@ -156,7 +146,7 @@ def abs_cos_integral(grid: SphereGrid) -> float:
     kink at cos theta = 0 costs several digits, which is the point of the
     split.
     """
-    return _chunked_dot(grid.weights, np.abs(grid.points[:, 2]), 1)
+    return float((grid.weights * np.abs(grid.points[:, 2])).sum())
 
 
 def projection_norm_constant(grid: SphereGrid) -> float:

@@ -84,10 +84,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class DensityMatrix4:
     """Validated two-qubit density matrix.
 
-    Construction checks hermiticity, unit trace and positive
-    semidefiniteness (the smallest eigenvalue may dip to -1e-9 so that
-    slightly rounded tomographic inputs are not rejected). The stored
-    array is read-only.
+    Construction checks that every entry is finite (a NonFinite
+    violation whose magnitude counts the offending entries), then
+    hermiticity, unit trace and positive semidefiniteness (the smallest
+    eigenvalue may dip to -1e-9 so that slightly rounded tomographic
+    inputs are not rejected). The stored array is read-only.
     """
 
     matrix: np.ndarray
@@ -96,6 +97,10 @@ class DensityMatrix4:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+        # NaN compares false against every tolerance below, so check first.
+        non_finite = int(np.count_nonzero(~np.isfinite(m)))
+        if non_finite:
+            raise StateValidationError((Violation("NonFinite", non_finite),))
         violations = []
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
         if herm_defect > HERMITICITY_TOL:
@@ -114,8 +119,9 @@ class DensityMatrix4:
 def validate_state(entries) -> DensityMatrix4:
     """Validate a 4x4 complex array as a two-qubit density matrix.
 
-    Raises NotHermitian, TraceNotOne or NotPositive; the exception lists
-    every violated invariant and its magnitude.
+    Raises StateValidationError for non-finite entries, otherwise
+    NotHermitian, TraceNotOne or NotPositive; the exception lists every
+    violated invariant and its magnitude.
     """
     return DensityMatrix4(np.asarray(entries, dtype=complex))
 
@@ -135,6 +141,8 @@ class CorrelationTensor:
         f = np.array(self.full, dtype=float)
         if f.shape != (4, 4):
             raise ValueError(f"expected a 4x4 table, got shape {f.shape}")
+        if not np.all(np.isfinite(f)):
+            raise ValueError("table entries must be finite")
         if f[0, 0] != 1.0:
             raise ValueError(f"T[0,0] must be exactly 1, got {f[0, 0]!r}")
         overshoot = float(np.max(np.abs(f)) - 1.0)

@@ -1,26 +1,20 @@
-"""Deterministic singular value decomposition of 3x3 real matrices.
+"""Singular value decomposition of 3x3 real matrices with a fixed convention.
 
-One-sided Jacobi: right rotations orthogonalize the columns of the input;
-the column norms are the singular values and the normalized columns the
-left singular vectors. The fixed sweep order, the stable descending sort
-and the sign convention (largest-magnitude component of each left vector
-made positive, ties broken by lowest index) make the output a pure
-function of the input bytes, which the criterion verdicts rely on.
+The factorization itself is LAPACK's, through ``np.linalg.svd``, which
+returns descending singular values and full orthonormal bases and scales
+inputs near the ends of the double range itself. This module fixes the
+layout (input = u.T @ diag(sigma) @ v, singular vectors as rows) and the
+sign convention: the largest-magnitude component of each left vector is
+made positive, ties broken by lowest index, and the matching right vector
+flips with it. The output is therefore a pure function of the input bytes
+for a given numpy/LAPACK build, which the criterion verdicts rely on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-SWEEP_CAP = 100
-OFFDIAG_TOL = 1e-15
-
-
-class NoConvergence(RuntimeError):
-    """Jacobi sweeps exceeded the iteration cap (indicates a defect)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,77 +51,16 @@ class SchmidtForm:
         return self.u.T @ np.diag(self.sigma) @ self.v
 
 
-def _complete_basis(rows: list[np.ndarray | None]) -> None:
-    """Fill None slots with deterministic Gram-Schmidt over e1, e2, e3."""
-    have = [r for r in rows if r is not None]
-    for i, row in enumerate(rows):
-        if row is not None:
-            continue
-        for k in range(3):
-            cand = np.zeros(3)
-            cand[k] = 1.0
-            for b in have:
-                cand -= (cand @ b) * b
-            norm = np.linalg.norm(cand)
-            if norm > 0.5:
-                rows[i] = cand / norm
-                have.append(rows[i])
-                break
-
-
 def svd3(block) -> SchmidtForm:
-    """Decompose a real 3x3 matrix as u.T @ diag(sigma) @ v.
-
-    Raises NoConvergence if the sweep cap is exceeded, which no real
-    input is expected to trigger.
-    """
+    """Decompose a real 3x3 matrix as u.T @ diag(sigma) @ v."""
     g = np.array(block, dtype=float)
     if g.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix entries must be finite")
 
-    q = np.eye(3)
-    for _ in range(SWEEP_CAP):
-        rotated = False
-        for p in range(2):
-            for r in range(p + 1, 3):
-                alpha = float(g[:, p] @ g[:, p])
-                beta = float(g[:, r] @ g[:, r])
-                gamma = float(g[:, p] @ g[:, r])
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                if abs(gamma) <= OFFDIAG_TOL * math.sqrt(alpha * beta):
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                gp = g[:, p].copy()
-                g[:, p] = c * gp - s * g[:, r]
-                g[:, r] = s * gp + c * g[:, r]
-                qp = q[:, p].copy()
-                q[:, p] = c * qp - s * q[:, r]
-                q[:, r] = s * qp + c * q[:, r]
-                rotated = True
-        if not rotated:
-            break
-    else:
-        raise NoConvergence(f"no convergence after {SWEEP_CAP} sweeps")
-
-    norms = np.linalg.norm(g, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    left: list[np.ndarray | None] = [
-        g[:, k] / norms[k] if norms[k] > 0.0 else None for k in order
-    ]
-    _complete_basis(left)
-    u = np.vstack(left)
-    v = q[:, order].T
-
-    for i in range(3):
-        lead = int(np.argmax(np.abs(u[i])))
-        if u[i, lead] < 0.0:
-            u[i] = -u[i]
-            v[i] = -v[i]
-    return SchmidtForm(u=u, sigma=sigma, v=v)
+    left, sigma, v = np.linalg.svd(g)
+    u = left.T
+    lead = np.argmax(np.abs(u), axis=1)
+    signs = np.where(u[np.arange(3), lead] < 0.0, -1.0, 1.0)[:, None]
+    return SchmidtForm(u=signs * u, sigma=sigma, v=signs * v)

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,18 @@ def test_analyze_invalid_state_document(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "NotPositive" in err
+
+
+def test_analyze_nan_document(tmp_path, capsys):
+    doc = cli.state_to_document(sk.werner(0.5))
+    doc["matrix"][0][1] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:")
+    assert "NonFinite" in err
 
 
 def test_analyze_missing_file(capsys):
@@ -258,3 +274,18 @@ def test_verify_injected_fault_fails(capsys):
     code, out, _ = run(capsys, "verify", "--level", "fast", "--inject-fault")
     assert code == 3
     assert "FAIL" in out
+
+
+# --- dependencies ----------------------------------------------------------------
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(sk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, steerkit.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -360,7 +360,7 @@ def test_chsh_value_orthogonal_hidden_state():
 
 
 def test_chsh_grid_alone_reaches_two():
-    value = sk.chsh_ns_max(step_deg=30.0, refine=False)
+    value = sk.chsh_ns_max(step_deg=30.0)
     assert 2.0 - 1e-12 <= value <= 2.0 + 1e-9
 
 

@@ -160,18 +160,6 @@ def test_inner_product_werner_norm():
     assert sk.inner_product(eq, eq, grid) == pytest.approx(expected, rel=1e-10)
 
 
-def test_integration_stable_across_partition_counts():
-    grid = sk.sphere_grid(12)
-    f = lambda p: np.cos(3.0 * p[:, 0]) * np.exp(p[:, 2])
-    values = [sk.integrate(grid, f, chunks=c) for c in range(1, 8)]
-    assert max(values) - min(values) <= 1e-13 * max(1.0, abs(values[0]))
-    tensor = sk.pauli_expansion(sk.werner(0.9))
-    eq = sk.correlation_fn(tensor)
-    grid4 = sk.sphere_grid(4)
-    products = [sk.inner_product(eq, eq, grid4, chunks=c) for c in (1, 3, 5)]
-    assert max(products) - min(products) <= 1e-13 * abs(products[0])
-
-
 def test_uniform_sphere_points_are_unit():
     points = sk.uniform_sphere(1000, np.random.default_rng(1))
     assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= 1e-12

@@ -47,6 +47,15 @@ def test_wrong_shape_rejected():
         sk.validate_state(np.eye(3) / 3.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_entry_rejected(bad):
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = bad
+    with pytest.raises(sk.StateValidationError) as exc:
+        sk.validate_state(m)
+    assert [v.invariant for v in exc.value.violations] == ["NonFinite"]
+
+
 def test_validation_error_is_value_error():
     with pytest.raises(ValueError):
         sk.validate_state(np.diag([2.0, -1.0, 0.0, 0.0]))
@@ -110,6 +119,13 @@ def test_tensor_requires_exact_unit_corner():
     full = np.zeros((4, 4))
     full[0, 0] = 1.0 + 1e-9
     with pytest.raises(ValueError):
+        sk.CorrelationTensor(full)
+
+
+def test_tensor_rejects_nan_entry():
+    full = np.eye(4)
+    full[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
         sk.CorrelationTensor(full)
 
 

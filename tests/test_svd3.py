@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steerkit as sk
@@ -101,6 +101,7 @@ def test_reconstruction_batch():
 
 @settings(max_examples=300, deadline=None)
 @given(matrices)
+@example(np.diag([0, 0, 2.7886e-157]))
 def test_reconstruction_properties(m):
     form = sk.svd3(m)
     assert form.sigma[0] >= form.sigma[1] >= form.sigma[2] >= 0.0
@@ -111,6 +112,28 @@ def test_reconstruction_properties(m):
     np.testing.assert_array_equal(form.u, again.u)
     np.testing.assert_array_equal(form.sigma, again.sigma)
     np.testing.assert_array_equal(form.v, again.v)
+
+
+@pytest.mark.parametrize(
+    "scale", [1e-300, 1e-200, 1e-170, 1e-157, 1e-100, 1.0, 1e100, 1e155, 1e200, 1e300]
+)
+def test_full_double_range(scale):
+    """Singular values, reconstruction and bases hold at every scale.
+
+    Each input is q1 @ diag(s) @ q2 with q1, q2 orthogonal, so its singular
+    values are scale * s, known without an SVD.
+    """
+    rng = np.random.default_rng(11)
+    for s in ([3.0, 2.0, 1.0], [1.0, 1e-3, 0.0], [2.0, 0.0, 0.0]):
+        q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m = q1 @ np.diag(scale * np.array(s)) @ q2
+        peak = np.max(np.abs(m))
+        form = sk.svd3(m)
+        assert np.max(np.abs(form.sigma - scale * np.array(s))) <= 1e-12 * scale * s[0]
+        assert np.max(np.abs(form.reconstruct() - m)) <= 1e-12 * peak
+        assert orthogonality_defect(form.u) <= 1e-12
+        assert orthogonality_defect(form.v) <= 1e-12
 
 
 def test_top_singular_value_is_max_correlation():
