@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -65,10 +66,8 @@ def parse_state_document(data: dict) -> tuple[DensityMatrix4, str]:
         raise DocumentError("document must be an object with a 'matrix' field")
     raw = data["matrix"]
     try:
-        entries = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in raw]
-        )
-    except (TypeError, ValueError, IndexError) as exc:
+        entries = np.array([[_cell_value(cell) for cell in row] for row in raw])
+    except (TypeError, ValueError) as exc:
         raise DocumentError(f"matrix must be 4x4 of [re, im] pairs: {exc}") from exc
     if entries.shape != (4, 4):
         raise DocumentError(f"matrix must be 4x4, got shape {entries.shape}")
@@ -76,6 +75,14 @@ def parse_state_document(data: dict) -> tuple[DensityMatrix4, str]:
     if not isinstance(label, str):
         raise DocumentError("label must be a string")
     return validate_state(entries), label
+
+
+def _cell_value(cell) -> complex:
+    # JSON true/false load as bool, a subclass of int, so reject them by type.
+    if not (isinstance(cell, list) and len(cell) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)):
+        raise ValueError(f"cell {cell!r} is not two numbers")
+    return complex(cell[0], cell[1])
 
 
 def _load_state(args) -> tuple[DensityMatrix4, str]:
@@ -223,8 +230,7 @@ def _perturbed(grid: sphere.SphereGrid) -> sphere.SphereGrid:
     delta = 1e-6 * w[0]
     w[0] += delta
     w[-1] -= delta
-    return sphere.SphereGrid(grid.points, w, grid.n_theta, grid.n_phi,
-                             grid.breakpoints)
+    return dataclasses.replace(grid, weights=w)
 
 
 def _verify_checks(level: str, seed: int, inject_fault: bool) -> list[_Check]:
@@ -232,7 +238,7 @@ def _verify_checks(level: str, seed: int, inject_fault: bool) -> list[_Check]:
     rng = np.random.default_rng(seed)
     checks: list[_Check] = []
 
-    g_low = sphere.sphere_grid(2, 4)
+    g_low = sphere.sphere_grid(2)
     if inject_fault:
         g_low = _perturbed(g_low)
     defect = sphere.verify_orthogonality(g_low)
@@ -295,7 +301,7 @@ def _verify_checks(level: str, seed: int, inject_fault: bool) -> list[_Check]:
     checks.append(
         _Check(f"ns inequality ({n_states_ns * models_per_state} models)",
                "(E_Q,E_NS) <= (8pi^2/3) T1", worst_rel, max(0.0, worst_rel),
-               1e-6)
+               oracle.NS_RELATIVE_TOL)
     )
 
     n_sat = 5 if fast else 20
@@ -309,7 +315,7 @@ def _verify_checks(level: str, seed: int, inject_fault: bool) -> list[_Check]:
                     oracle.ns_bound(schmidt))
     checks.append(
         _Check(f"ns bound saturation ({n_sat} states)", "(8pi^2/3) T1",
-               worst, worst, 1e-6)
+               worst, worst, oracle.NS_RELATIVE_TOL)
     )
 
     if not fast:
@@ -367,6 +373,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steerkit",
@@ -391,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the integral-identity test bench")
     p.add_argument("--level", choices=["fast", "full"], default="fast")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("threshold", help="critical noise for one criterion")

@@ -29,6 +29,7 @@ if TYPE_CHECKING:
 
 TIE_TOL = 1e-12
 BISECTION_TOL = 1e-9
+SCAN_POINTS = 17
 
 
 class Criterion(Enum):
@@ -114,12 +115,7 @@ def _detects(family: "NoiseFamily", criterion: Criterion, v: float) -> bool:
     return next(v for v in verdicts if v.criterion is criterion).detected
 
 
-def critical_noise(
-    family: "NoiseFamily",
-    criterion: Criterion,
-    tol: float = BISECTION_TOL,
-    scan_points: int = 17,
-) -> float:
+def critical_noise(family: "NoiseFamily", criterion: Criterion) -> float:
     """Smallest v in [0, 1] at which the criterion detects, by bisection.
 
     A coarse scan brackets the crossing and doubles as a monotonicity
@@ -128,7 +124,7 @@ def critical_noise(
     never fires on [0, 1] and NonMonotone if the scan sees detection
     switch off again at larger v.
     """
-    grid = np.linspace(0.0, 1.0, scan_points)
+    grid = np.linspace(0.0, 1.0, SCAN_POINTS)
     flags = [_detects(family, criterion, float(v)) for v in grid]
     if not any(flags):
         raise NoDetection(f"{criterion.value} never detects on [0, 1]")
@@ -141,7 +137,7 @@ def critical_noise(
         return 0.0
     lo = float(grid[first - 1])
     hi = float(grid[first])
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if _detects(family, criterion, mid):
             hi = mid

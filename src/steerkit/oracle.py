@@ -22,8 +22,9 @@ polynomial and reduces exactly to (4 pi / 3) * I(m) (m . T lambda); the
 remaining m-integral is done per component on a grid whose polar axis is
 aligned with the response's discontinuity normal and whose panels are
 split at the response's kink latitudes, so the built-in response families
-integrate exactly. Black-box responses fall back to an unaligned grid or
-to Monte Carlo.
+integrate exactly. Black-box responses, which declare no breakpoints, are
+always integrated on the unaligned rule sphere_grid(48), also inside
+verify_ns_inequality; at discontinuities use Monte Carlo instead.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import tensor_norm_sq
-from .sphere import SphereGrid, sphere_grid, uniform_sphere
+from .sphere import sphere_grid, uniform_sphere
 from .states import correlation_fn, unit_vector
 from .svd3 import SchmidtForm, svd3
 
 WEIGHT_SUM_TOL = 1e-12
 RESPONSE_BOUND_TOL = 1e-12
 NS_RELATIVE_TOL = 1e-6
+MAX_COMPONENTS = 8
 
 _NS_COEFF = 8.0 * math.pi ** 2 / 3.0
 _LHV_COEFF = 4.0 * math.pi ** 2
@@ -144,10 +146,11 @@ class HiddenStateModel:
             raise ValueError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "components", comps)
 
-    def check_responses(self, grid: SphereGrid) -> None:
+    def check_responses(self) -> None:
         """Sampled check that every response stays within [-1, 1]."""
+        points = sphere_grid(6).points
         for k, comp in enumerate(self.components):
-            worst = float(np.max(np.abs(comp.response(grid.points))))
+            worst = float(np.max(np.abs(comp.response(points))))
             if worst > 1.0 + RESPONSE_BOUND_TOL:
                 raise ValueError(
                     f"component {k} response reaches {worst:.6f}, beyond 1"
@@ -206,29 +209,21 @@ def saturating_model(schmidt: SchmidtForm) -> HiddenStateModel:
     )
 
 
-def model_state_overlap(tensor, model: HiddenStateModel, n_theta: int = 6,
-                        fallback_grid: SphereGrid | None = None) -> float:
+def model_state_overlap(tensor, model: HiddenStateModel) -> float:
     """(E_Q, E_NS) with the n-integral done analytically.
 
     Exact for the built-in response families; arbitrary callables without
-    declared kink structure are integrated on ``fallback_grid`` (built as
-    ``sphere_grid(48)`` on first need when not given) and may lose
-    accuracy at discontinuities (use the Monte Carlo route for those).
+    declared kink structure are integrated on ``sphere_grid(48)`` and may
+    lose accuracy at discontinuities (use the Monte Carlo route for those).
     """
     block = tensor.block
     terms = []
     for comp in model.components:
         response = comp.response
         if hasattr(response, "breakpoints"):
-            grid = sphere_grid(
-                n_theta,
-                breakpoints=response.breakpoints,
-                axis=getattr(response, "axis", None),
-            )
+            grid = sphere_grid(6, response.breakpoints, getattr(response, "axis", None))
         else:
-            if fallback_grid is None:
-                fallback_grid = sphere_grid(48)
-            grid = fallback_grid
+            grid = sphere_grid(48)
         # m-integral of I(m) (m . T lambda) after the exact n-reduction.
         c = block @ comp.hidden_state
         values = np.asarray(response(grid.points), dtype=float) * (grid.points @ c)
@@ -256,33 +251,29 @@ class NsInequalityCheck:
     holds: bool
 
 
-def verify_ns_inequality(tensor, model: HiddenStateModel,
-                         grid: SphereGrid | None = None) -> NsInequalityCheck:
+def verify_ns_inequality(tensor, model: HiddenStateModel) -> NsInequalityCheck:
     """Check (E_Q, E_NS) <= (8 pi^2 / 3) T1 for one model.
 
-    ``grid`` is used to sample-check response boundedness and as the
-    fallback rule for black-box responses. The comparison allows a 1e-6
-    relative quadrature tolerance.
+    Response boundedness is sample-checked first. The comparison allows a
+    1e-6 relative quadrature tolerance.
     """
-    if grid is None:
-        grid = sphere_grid(6)
-    model.check_responses(grid)
+    model.check_responses()
     schmidt = svd3(tensor.block)
     bound = ns_bound(schmidt)
-    lhs = model_state_overlap(tensor, model, fallback_grid=grid)
+    lhs = model_state_overlap(tensor, model)
     tolerance = NS_RELATIVE_TOL * bound + 1e-12
     return NsInequalityCheck(lhs, bound, tolerance, lhs <= bound + tolerance)
 
 
-def random_model(rng: np.random.Generator, max_components: int = 8) -> HiddenStateModel:
+def random_model(rng: np.random.Generator) -> HiddenStateModel:
     """Random non-steering model for property testing.
 
-    Component count uniform in 1..max_components, weights from a flat
+    Component count uniform in 1..MAX_COMPONENTS, weights from a flat
     simplex sample, hidden states uniform on the sphere, responses drawn
     from the sign, clipped-linear and constant families. Broad enough to
     probe the bound, not exhaustive.
     """
-    n = int(rng.integers(1, max_components + 1))
+    n = int(rng.integers(1, MAX_COMPONENTS + 1))
     weights = rng.dirichlet(np.ones(n))
     components = []
     for k in range(n):

@@ -1,12 +1,17 @@
 """Quadrature on the unit sphere and on products of two spheres.
 
 Grids are tensor products of Gauss-Legendre in cos(theta) with a uniform
-periodic rule in phi, so every spherical polynomial of total degree up to
-2*n_theta - 1 integrates exactly (n_phi defaults to 2*n_theta). The polar
-range can be split into panels at given cos(theta) breakpoints, which
-restores exactness for integrands with kinks or jumps on latitude circles
-(e.g. sign responses split at the equator), and the whole grid can be
-rotated so the polar axis lines up with a given direction.
+periodic rule in phi of n_phi = 2*n_theta points, so every spherical
+polynomial of total degree up to 2*n_theta - 1 integrates exactly. The
+polar range can be split into panels at given cos(theta) breakpoints,
+which restores exactness for integrands with kinks or jumps on latitude
+circles (e.g. sign responses split at the equator), and the whole grid can
+be rotated so the polar axis lines up with a given direction.
+
+Unrotated rules are built once per (n_theta, breakpoints) and shared as
+read-only values; rotated rules rotate the shared points. The cache is
+bounded, since each clipped-linear response of norm above 1 brings its own
+breakpoints.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ class SphereGrid:
     points: np.ndarray
     weights: np.ndarray
     n_theta: int
-    n_phi: int
-    breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
         for name in ("points", "weights"):
@@ -41,14 +44,6 @@ class SphereGrid:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-
-@lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 def rotation_to(axis) -> np.ndarray:
@@ -67,29 +62,30 @@ def rotation_to(axis) -> np.ndarray:
     return np.eye(3) + sin_t * kx + (1.0 - cos_t) * (kx @ kx)
 
 
-def sphere_grid(
-    n_theta: int,
-    n_phi: int | None = None,
-    breakpoints: tuple[float, ...] = (),
-    axis=None,
-) -> SphereGrid:
-    """Build a product quadrature grid on the unit sphere.
+def sphere_grid(n_theta: int, breakpoints=(), axis=None) -> SphereGrid:
+    """Product quadrature rule on the unit sphere.
 
     ``breakpoints`` lists cos(theta) values in (-1, 1) at which the polar
     interval is split into separate Gauss-Legendre panels of order
     ``n_theta`` each; (0.0,) gives the hemispherical split. ``axis``
-    rotates the grid so its polar axis points along that direction.
+    rotates the rule so its polar axis points along that direction.
     """
+    grid = _unrotated(n_theta, tuple(sorted(float(b) for b in breakpoints)))
+    if axis is None:
+        return grid
+    return SphereGrid(grid.points @ rotation_to(axis).T, grid.weights, n_theta)
+
+
+@lru_cache(maxsize=64)
+def _unrotated(n_theta: int, bps: tuple[float, ...]) -> SphereGrid:
     if n_theta < 1:
         raise ValueError("n_theta must be at least 1")
-    if n_phi is None:
-        n_phi = 2 * n_theta
-    bps = tuple(sorted(float(b) for b in breakpoints))
     if any(not -1.0 < b < 1.0 for b in bps):
         raise ValueError("breakpoints must lie strictly inside (-1, 1)")
     edges = (-1.0, *bps, 1.0)
+    n_phi = 2 * n_theta
 
-    x, w = _leggauss(n_theta)
+    x, w = np.polynomial.legendre.leggauss(n_theta)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     dphi = 2.0 * np.pi / n_phi
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
@@ -105,11 +101,7 @@ def sphere_grid(
         pz = np.repeat(u, n_phi)
         points.append(np.column_stack([px, py, pz]))
         weights.append(np.repeat(wu * dphi, n_phi))
-    pts = np.concatenate(points)
-    wts = np.concatenate(weights)
-    if axis is not None:
-        pts = pts @ rotation_to(axis).T
-    return SphereGrid(pts, wts, n_theta, n_phi, bps)
+    return SphereGrid(np.concatenate(points), np.concatenate(weights), n_theta)
 
 
 def integrate(grid: SphereGrid, f) -> float:
@@ -118,15 +110,15 @@ def integrate(grid: SphereGrid, f) -> float:
     return float((grid.weights * values).sum())
 
 
-def inner_product(f, g, grid_m: SphereGrid, grid_n: SphereGrid | None = None) -> float:
+def inner_product(f, g, grid: SphereGrid) -> float:
     """Scalar product (f, g) = integral of f*g over the product of spheres.
 
-    f and g take paired point arrays (m, n), each of shape (k, 3).
+    f and g take paired point arrays (m, n), each of shape (k, 3); the
+    same rule serves both spheres.
     """
-    gn = grid_m if grid_n is None else grid_n
-    m = np.repeat(grid_m.points, len(gn), axis=0)
-    n = np.tile(gn.points, (len(grid_m), 1))
-    w = np.repeat(grid_m.weights, len(gn)) * np.tile(gn.weights, len(grid_m))
+    m = np.repeat(grid.points, len(grid), axis=0)
+    n = np.tile(grid.points, (len(grid), 1))
+    w = np.repeat(grid.weights, len(grid)) * np.tile(grid.weights, len(grid))
     values = np.asarray(f(m, n), dtype=float) * np.asarray(g(m, n), dtype=float)
     return float((w * values).sum())
 

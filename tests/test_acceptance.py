@@ -112,7 +112,6 @@ def test_criterion_5_orthogonality_relation():
 def test_criterion_6_ns_bound_and_tightness():
     start = time.perf_counter()
     rng = np.random.default_rng(42)
-    grid = sk.sphere_grid(6)
     trials = 0
     violations = 0
     worst_excess = -math.inf
@@ -122,7 +121,7 @@ def test_criterion_6_ns_bound_and_tightness():
         schmidt = sk.svd3(tensor.block)
         bound = sk.ns_bound(schmidt)
         for _ in range(500):
-            check = sk.verify_ns_inequality(tensor, sk.random_model(rng), grid)
+            check = sk.verify_ns_inequality(tensor, sk.random_model(rng))
             violations += 0 if check.holds else 1
             worst_excess = max(worst_excess, (check.lhs - bound) / bound)
             trials += 1

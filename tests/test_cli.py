@@ -95,6 +95,19 @@ def test_analyze_wrong_shape_document(tmp_path, capsys):
     assert "4x4" in err
 
 
+@pytest.mark.parametrize("cell", [[1.0, 0.0, 7.0], [True, False]])
+def test_analyze_malformed_cell(tmp_path, capsys, cell):
+    # Read as 1+0j, either cell would make the document a valid |00><00|.
+    matrix = [[[0.0, 0.0]] * 4 for _ in range(4)]
+    matrix[0][0] = cell
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert "[re, im]" in err
+
+
 def test_analyze_invalid_state_document(tmp_path, capsys):
     matrix = [[[0.0, 0.0]] * 4 for _ in range(4)]
     for k, value in enumerate([2.0, -1.0, 0.0, 0.0]):
@@ -268,6 +281,15 @@ def test_verify_deterministic_output(capsys):
     assert first == second
     _, other_seed, _ = run(capsys, "verify", "--level", "fast", "--seed", "8")
     assert other_seed != first
+
+
+def test_verify_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "non-negative" in err
 
 
 def test_verify_injected_fault_fails(capsys):

@@ -68,7 +68,21 @@ def test_model_weight_validation():
 def test_unbounded_black_box_response_caught():
     model = single_component_model(Z, lambda m: 2.0 * np.ones(len(m)))
     with pytest.raises(ValueError):
-        model.check_responses(sk.sphere_grid(4))
+        model.check_responses()
+
+
+def test_rule_cache_stays_bounded():
+    # Every clipped response of norm above 1 has breakpoints of its own.
+    rng = np.random.default_rng(17)
+    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    for k in range(500):
+        response = sk.ClippedLinearResponse(
+            (1.1 + k / 1000.0) * sk.random_unit_vector(rng)
+        )
+        sk.model_state_overlap(tensor, single_component_model(Z, response))
+    info = sk.sphere._unrotated.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
 
 
 # --- E_NS evaluation -----------------------------------------------------------
@@ -252,10 +266,9 @@ def test_overlap_sign_full_quadrature_on_aligned_split_grid():
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
     schmidt = sk.svd3(tensor.block)
     model = sk.saturating_model(schmidt)
-    grid_m = sk.sphere_grid(8, breakpoints=(0.0,), axis=schmidt.u[0])
-    grid_n = sk.sphere_grid(4)
+    grid = sk.sphere_grid(8, breakpoints=(0.0,), axis=schmidt.u[0])
     full = sk.inner_product(
-        sk.correlation_fn(tensor), sk.ns_correlation_fn(model), grid_m, grid_n
+        sk.correlation_fn(tensor), sk.ns_correlation_fn(model), grid
     )
     assert full == pytest.approx(sk.ns_bound(schmidt), rel=1e-10)
 

@@ -13,7 +13,7 @@ FOUR_PI = 4.0 * np.pi
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(n_theta=2, n_phi=4),
+    dict(n_theta=2),
     dict(n_theta=8),
     dict(n_theta=8, breakpoints=(0.0,)),
     dict(n_theta=4, breakpoints=(-0.5, 0.5), axis=(0.6, 0.0, 0.8)),
@@ -25,13 +25,13 @@ def test_weights_sum_to_full_solid_angle(kwargs):
 
 
 def test_grid_invariant_enforced():
-    grid = sk.sphere_grid(2, 4)
+    grid = sk.sphere_grid(2)
     with pytest.raises(ValueError):
-        sk.SphereGrid(grid.points, grid.weights * 1.001, 2, 4)
+        sk.SphereGrid(grid.points, grid.weights * 1.001, 2)
 
 
 def test_orthogonality_minimal_grid():
-    assert sk.verify_orthogonality(sk.sphere_grid(2, 4)) <= 1e-12
+    assert sk.verify_orthogonality(sk.sphere_grid(2)) <= 1e-12
 
 
 def test_orthogonality_production_grid():
@@ -40,11 +40,11 @@ def test_orthogonality_production_grid():
 
 def test_orthogonality_needs_order_two():
     with pytest.raises(ValueError):
-        sk.verify_orthogonality(sk.sphere_grid(1, 4))
+        sk.verify_orthogonality(sk.sphere_grid(1))
 
 
 def test_off_diagonal_component_vanishes():
-    grid = sk.sphere_grid(2, 4)
+    grid = sk.sphere_grid(2)
     value = sk.integrate(grid, lambda p: p[:, 0] * p[:, 1])
     assert abs(value) <= 1e-14
 
@@ -124,6 +124,22 @@ def test_rotation_special_axes(axis):
     r = sk.rotation_to(np.array(axis, dtype=float))
     assert np.max(np.abs(r @ np.array([0.0, 0.0, 1.0]) - np.array(axis))) <= 1e-13
     assert abs(np.linalg.det(r) - 1.0) <= 1e-13
+
+
+def test_unrotated_rules_are_shared_read_only():
+    grid = sk.sphere_grid(6, (0.0,))
+    assert sk.sphere_grid(6, (0.0,)) is grid
+    assert sk.sphere_grid(6, [0.0]) is grid
+    assert not grid.points.flags.writeable
+    assert not grid.weights.flags.writeable
+
+
+def test_rotated_rule_rotates_the_shared_points():
+    axis = np.array([0.3, -0.4, 0.5])
+    plain = sk.sphere_grid(6, (0.0,))
+    rotated = sk.sphere_grid(6, (0.0,), axis=axis)
+    assert np.array_equal(rotated.points, plain.points @ sk.rotation_to(axis).T)
+    assert np.array_equal(rotated.weights, plain.weights)
 
 
 def test_rotated_grid_integrates_rotation_invariant_functions():
