@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Steering threshold of the noisy partially-entangled family vs. the
-shape angle, bisection against the closed form 3 / (2 (1 + 2 sin^2 a))."""
+shape angle: steerkit's critical noise against the closed form
+3 / (2 (1 + 2 sin^2 a))."""
 
 import argparse
 import csv
@@ -29,14 +30,14 @@ def main():
         except sk.NoDetection:
             rows.append((alpha, closed, "none", ""))
 
-    print(f"{'alpha':>10} {'closed form':>14} {'bisection':>14} {'|diff|':>10}")
+    print(f"{'alpha':>10} {'closed form':>14} {'critical noise':>14} {'|diff|':>10}")
     for alpha, closed, found, defect in rows:
         print(f"{alpha:>10.6f} {closed:>14.10f} {found:>14} {defect:>10}")
 
     if args.out:
         with open(args.out, "w", newline="") as fp:
             writer = csv.writer(fp)
-            writer.writerow(["alpha", "closed_form", "bisection", "abs_diff"])
+            writer.writerow(["alpha", "closed_form", "critical_noise", "abs_diff"])
             writer.writerows(rows)
         print(f"wrote {args.out}", file=sys.stderr)
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Criteria ladder along the Werner family: detection flags on a noise
-grid plus the bisected critical noise for each criterion."""
+grid plus the critical noise for each criterion."""
 
 import argparse
 

@@ -43,8 +43,6 @@ EXIT_VALIDATION = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_NO_DETECTION = 4
 
-_CRITERIA_ORDER = ("entanglement", "steering", "bell", "chsh")
-
 
 class DocumentError(ValueError):
     """State document is structurally malformed."""
@@ -179,7 +177,7 @@ def cmd_sweep(args) -> int:
     )
     for rec in records:
         alpha = rec.parameters.get("alpha")
-        flags = {v.criterion.value: v for v in rec.verdicts}
+        ent, steer, bell, chsh = rec.verdicts  # ladder order
         writer.writerow(
             [
                 rec.family,
@@ -187,11 +185,11 @@ def cmd_sweep(args) -> int:
                 fmt(rec.parameters["v"]),
                 fmt(rec.t1),
                 fmt(rec.norm_sq),
-                int(flags["entanglement"].detected),
-                int(flags["steering"].detected),
-                int(flags["bell"].detected),
-                int(flags["chsh"].detected),
-                fmt(flags["steering"].margin),
+                int(ent.detected),
+                int(steer.detected),
+                int(bell.detected),
+                int(chsh.detected),
+                fmt(steer.margin),
             ]
         )
     _write(buf.getvalue(), args.out)
@@ -412,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="critical noise for one criterion")
     p.add_argument("--family", required=True, choices=["werner", "noisy-schmidt"])
-    p.add_argument("--criterion", required=True, choices=list(_CRITERIA_ORDER))
+    p.add_argument("--criterion", required=True, choices=[c.value for c in Criterion])
     p.add_argument("--alpha", type=float)
     return parser
 

@@ -47,19 +47,26 @@ class SphereGrid:
 
 
 def rotation_to(axis) -> np.ndarray:
-    """Rotation matrix taking the z axis onto the given unit vector."""
-    w = np.asarray(axis, dtype=float)
-    w = w / np.linalg.norm(w)
-    if w[2] > 1.0 - 1e-14:
-        return np.eye(3)
-    if w[2] < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    k = np.array([-w[1], w[0], 0.0])
-    k /= np.linalg.norm(k)
-    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    cos_t = w[2]
-    sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-    return np.eye(3) + sin_t * kx + (1.0 - cos_t) * (kx @ kx)
+    """Rotation matrix taking the z axis onto the direction of ``axis``.
+
+    For z >= 0 this is the rotation about z x axis; its entries carry
+    1/(1 + z), which stays within [1/2, 1]. For z < 0 the same formula is
+    taken about -axis and composed with a half turn about x, so neither
+    pole needs a special case (Duff et al., JCGT 6(1), 2017).
+    """
+    x, y, z = (float(c) for c in np.asarray(axis, dtype=float).reshape(3))
+    norm = math.hypot(x, y, z)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"axis must be a nonzero finite vector, got {axis!r}")
+    x, y, z = x / norm, y / norm, z / norm
+    s = math.copysign(1.0, z)
+    a = -1.0 / (s + z)
+    b = x * y * a
+    return np.array([
+        [1.0 + s * x * x * a, b, x],
+        [s * b, s + y * y * a, y],
+        [-s * x, -y, z],
+    ])
 
 
 def sphere_grid(n_theta: int, breakpoints=(), axis=None) -> SphereGrid:

@@ -63,7 +63,7 @@ def test_criterion_3_noisy_schmidt_threshold_curve():
         )
 
     # boundary angle: analytic threshold exactly 1; the strict comparison
-    # reports v = 1 as boundary and bisection finds no detection
+    # reports v = 1 as boundary and critical_noise finds no detection
     boundary_family = sk.noisy_schmidt_family(np.pi / 6)
     assert 3.0 / (2.0 * (1.0 + 2.0 * math.sin(np.pi / 6) ** 2)) == pytest.approx(
         1.0, abs=1e-15

@@ -203,6 +203,17 @@ def test_sweep_bad_grid_spec(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("alpha", ["99", "-0.5", "nan"])
+def test_sweep_rejects_alpha_before_the_grid(capsys, alpha):
+    code, out, err = run(
+        capsys, "sweep", "--family", "noisy-schmidt", "--alpha", alpha,
+        "--grid", "0:1:0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:")
+
+
 def test_sweep_to_file(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     code, out, _ = run(

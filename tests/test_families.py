@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import steerkit as sk
-from helpers import SINGLET_PROJECTOR
+from helpers import SINGLET_PROJECTOR, criteria_for_state
 
 
 def test_werner_extremes():
@@ -105,19 +107,128 @@ def test_sweep_empty_grid():
     assert sk.sweep(sk.werner_family(), []) == []
 
 
+def test_sweep_takes_any_iterable_grid():
+    grid = [0.9, 0.1, 0.5]
+    expected = sk.sweep(sk.werner_family(), grid)
+    assert [r.parameters["v"] for r in expected] == [0.1, 0.5, 0.9]
+    assert sk.sweep(sk.werner_family(), (v for v in grid)) == expected
+    assert sk.sweep(sk.werner_family(), np.array(grid)) == expected
+
+
 def test_sweep_records_recomputable():
     family = sk.noisy_schmidt_family(1.0)
     for record in sk.sweep(family, [0.3, 0.8]):
-        tensor = sk.pauli_expansion(family.state_at(record.parameters["v"]))
-        schmidt = sk.svd3(tensor.block)
-        norm_sq = sk.tensor_norm_sq(tensor)
+        block = record.parameters["v"] * family.unit_block
+        schmidt = sk.svd3(block)
+        norm_sq = float(np.sum(block * block))
         assert record.t1 == schmidt.t1
         assert record.norm_sq == norm_sq
         assert record.verdicts == sk.all_criteria(schmidt, norm_sq)
 
 
+def per_state_records(family, v_grid):
+    """Each grid point the long way: state, Pauli table, SVD, verdicts."""
+    rows = []
+    for v in v_grid:
+        _, schmidt, norm_sq, verdicts = criteria_for_state(family.state_at(float(v)))
+        rows.append((schmidt.t1, norm_sq, verdicts))
+    return rows
+
+
+@pytest.mark.parametrize("family", [
+    sk.werner_family(), sk.noisy_schmidt_family(np.pi / 3),
+    sk.noisy_schmidt_family(0.4), sk.noisy_schmidt_family(2.9),
+], ids=lambda f: f"{f.name}{f.shape_parameters.get('alpha', '')}")
+def test_scaled_sweep_matches_per_state_path(family):
+    v_grid = np.linspace(0.0, 1.0, 301)
+    records = sk.sweep(family, v_grid)
+    reference = per_state_records(family, v_grid)
+    for record, (t1, norm_sq, verdicts) in zip(records, reference):
+        assert abs(record.t1 - t1) <= 1e-15
+        assert abs(record.norm_sq - norm_sq) <= 1e-15
+        for got, want in zip(record.verdicts, verdicts):
+            assert got.criterion is want.criterion
+            assert (got.detected, got.boundary) == (want.detected, want.boundary)
+            for name in ("lhs", "bound", "margin"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15
+
+
+def test_undeclared_family_sweeps_per_state():
+    family = sk.noisy_schmidt_family(1.1)
+    undeclared = sk.NoiseFamily("plain", "state_at only", family.state_at)
+    assert undeclared.unit_block is None
+    v_grid = np.linspace(0.0, 1.0, 41)
+    for record, (t1, norm_sq, verdicts) in zip(
+            sk.sweep(undeclared, v_grid), per_state_records(family, v_grid)):
+        assert abs(record.t1 - t1) <= 1e-15
+        assert record.norm_sq == norm_sq
+        assert [v.detected for v in record.verdicts] == [v.detected for v in verdicts]
+
+
+def test_sweep_rejects_noise_outside_unit_interval():
+    for bad in ([0.5, 1.5], [-0.1], [0.2, float("nan")]):
+        with pytest.raises(sk.ParameterOutOfRange):
+            sk.sweep(sk.werner_family(), bad)
+
+
+def test_noisy_schmidt_family_checks_alpha_when_built():
+    for bad in (-0.1, np.pi + 0.1, 99.0, float("nan")):
+        with pytest.raises(sk.ParameterOutOfRange):
+            sk.noisy_schmidt_family(bad)
+
+
+def test_declared_pure_state_is_validated():
+    with pytest.raises(sk.StateValidationError):
+        sk.NoiseFamily("unnormalised", "", sk.werner, pure_state=np.ones(4))
+
+
+def undeclared(family):
+    """The same family reached only through state_at, so it is bisected."""
+    return sk.NoiseFamily(family.name, "bisected", family.state_at)
+
+
+def threshold_or_none(family, criterion):
+    try:
+        return sk.critical_noise(family, criterion)
+    except sk.NoDetection:
+        return None
+
+
+def test_closed_form_thresholds_match_bisection():
+    families = [sk.werner_family()] + [
+        sk.noisy_schmidt_family(float(a)) for a in np.linspace(0.0, np.pi, 61)
+    ]
+    undetected = 0
+    for family in families:
+        at_one = criteria_for_state(family.state_at(1.0))[3]
+        for criterion, verdict in zip(sk.Criterion, at_one):
+            closed = threshold_or_none(family, criterion)
+            bisected = threshold_or_none(undeclared(family), criterion)
+            assert (closed is None) == (bisected is None), (family, criterion)
+            assert (closed is None) == (not verdict.detected)
+            if closed is None:
+                undetected += 1
+            else:
+                assert abs(closed - bisected) <= sk.criteria.BISECTION_TOL
+    assert 0 < undetected < 4 * len(families)
+
+
+def test_closed_form_survives_state_at_swap():
+    family = sk.noisy_schmidt_family(1.3)
+
+    def refuse(v):
+        raise AssertionError("state_at called on a declared family")
+
+    swapped = dataclasses.replace(family, state_at=refuse)
+    assert np.array_equal(swapped.unit_block, family.unit_block)
+    for c in sk.Criterion:
+        assert sk.critical_noise(swapped, c) == sk.critical_noise(family, c)
+    assert [r.t1 for r in sk.sweep(swapped, [0.2, 0.9])] == [
+        r.t1 for r in sk.sweep(family, [0.2, 0.9])]
+
+
 def test_threshold_curve_matches_closed_form():
-    # bisection against the analytic threshold 3 / (2 (1 + 2 sin^2 a)),
+    # critical noise against the analytic threshold 3 / (2 (1 + 2 sin^2 a)),
     # which stays inside [0, 1] for alpha between pi/6 and 5 pi/6
     for alpha in np.linspace(np.pi / 6 + 0.05, 5 * np.pi / 6 - 0.05, 20):
         family = sk.noisy_schmidt_family(float(alpha))

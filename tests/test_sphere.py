@@ -126,6 +126,35 @@ def test_rotation_special_axes(axis):
     assert abs(np.linalg.det(r) - 1.0) <= 1e-13
 
 
+def assert_rotation_onto(r, axis):
+    assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-15
+    assert np.max(np.abs(r @ np.array([0.0, 0.0, 1.0]) - axis)) <= 1e-15
+    assert abs(np.linalg.det(r) - 1.0) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rotation_closed_form_to_rounding(seed):
+    axis = sk.random_unit_vector(np.random.default_rng(seed))
+    assert_rotation_onto(sk.rotation_to(axis), axis)
+
+
+@pytest.mark.parametrize("axis", [
+    (1e-7, 0.0, -1.0), (3e-7, 2e-7, -1.0), (-1e-7, 1e-7, -1.0),
+    (1e-7, 0.0, 1.0), (3e-7, -2e-7, 1.0), (1e-9, 1e-9, -1.0),
+    (1.0, 0.0, -0.0), (0.6, 0.8, 0.0),
+])
+def test_rotation_near_poles(axis):
+    w = np.array(axis) / np.linalg.norm(axis)
+    assert_rotation_onto(sk.rotation_to(axis), w)
+
+
+def test_rotation_rejects_degenerate_axes():
+    for bad in ((0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            sk.rotation_to(bad)
+
+
 def test_unrotated_rules_are_shared_read_only():
     grid = sk.sphere_grid(6, (0.0,))
     assert sk.sphere_grid(6, (0.0,)) is grid
