@@ -18,24 +18,27 @@ the sign of the projection onto the top left singular vector. This module
 evaluates all of these quantities numerically.
 
 Integration strategy: the inner integral over n is a degree-2 spherical
-polynomial and reduces exactly to (4 pi / 3) * I(m) (m . T lambda); the
-remaining m-integral is done per component on a grid whose polar axis is
-aligned with the response's discontinuity normal and whose panels are
-split at the response's kink latitudes, so the built-in response families
-integrate exactly. Black-box responses, which declare no breakpoints, are
-always integrated on the unaligned rule sphere_grid(48), also inside
-verify_ns_inequality; at discontinuities use Monte Carlo instead.
+polynomial and reduces exactly to (4 pi / 3) * I(m) (m . T lambda). A
+response that declares ``axis`` and ``breakpoints`` is axial, I(m) =
+f(m . axis), and its m-integral against m . c is (axis . c) times the 1-D
+moment 2 pi int f(z) z dz, done by Gauss-Legendre on panels split at the
+breakpoints, so the built-in response families integrate exactly. A
+declared axis of None marks a response that does not depend on m and
+contributes exactly 0. Black-box responses are integrated on the rule
+sphere_grid(48), also inside verify_ns_inequality; at discontinuities use
+Monte Carlo instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .criteria import tensor_norm_sq
-from .sphere import sphere_grid, uniform_sphere
+from .sphere import integrate, perpendicular, sphere_grid, uniform_sphere
 from .states import correlation_fn, unit_vector
 from .svd3 import SchmidtForm, svd3
 
@@ -58,13 +61,10 @@ class SignResponse:
     """I(m) = sign(m . axis); jumps across the plane orthogonal to axis."""
 
     axis: np.ndarray
+    breakpoints = (0.0,)
 
     def __post_init__(self):
         object.__setattr__(self, "axis", unit_vector(self.axis))
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return (0.0,)
 
     def __call__(self, m):
         return np.sign(np.asarray(m) @ self.axis)
@@ -75,26 +75,19 @@ class ClippedLinearResponse:
     """I(m) = clip(m . vector, -1, 1); kinks appear once |vector| > 1."""
 
     vector: np.ndarray
+    axis: np.ndarray | None = field(init=False)
+    breakpoints: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        if v.shape != (3,) or np.linalg.norm(v) > 2.0 + 1e-12:
+        v = np.array(self.vector, dtype=float)
+        norm = float(np.linalg.norm(v))
+        if v.shape != (3,) or not norm <= 2.0 + 1e-12:
             raise ValueError("vector must be a 3-vector with norm <= 2")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
-
-    @property
-    def axis(self) -> np.ndarray | None:
-        norm = float(np.linalg.norm(self.vector))
-        return None if norm < 1e-12 else self.vector / norm
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        norm = float(np.linalg.norm(self.vector))
-        if norm <= 1.0:
-            return ()
-        return (-1.0 / norm, 1.0 / norm)
+        object.__setattr__(self, "axis", v / norm if norm > 0.0 else None)
+        bps = (-1.0 / norm, 1.0 / norm) if norm > 1.0 else ()
+        object.__setattr__(self, "breakpoints", bps)
 
     def __call__(self, m):
         return np.clip(np.asarray(m) @ self.vector, -1.0, 1.0)
@@ -105,15 +98,12 @@ class ConstantResponse:
     """I(m) = value, independent of the setting."""
 
     value: float
-    axis: None = field(default=None, init=False)
+    axis = None
+    breakpoints = ()
 
     def __post_init__(self):
         if abs(self.value) > 1.0:
             raise ValueError("constant response must lie in [-1, 1]")
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
 
     def __call__(self, m):
         return np.full(np.shape(m)[:-1], self.value, dtype=float)
@@ -213,22 +203,53 @@ def model_state_overlap(tensor, model: HiddenStateModel) -> float:
     """(E_Q, E_NS) with the n-integral done analytically.
 
     Exact for the built-in response families; arbitrary callables without
-    declared kink structure are integrated on ``sphere_grid(48)`` and may
-    lose accuracy at discontinuities (use the Monte Carlo route for those).
+    declared ``axis`` and ``breakpoints`` are integrated on
+    ``sphere_grid(48)`` and may lose accuracy at discontinuities (use the
+    Monte Carlo route for those).
     """
     block = tensor.block
     terms = []
+    axial = []
     for comp in model.components:
         response = comp.response
-        if hasattr(response, "breakpoints"):
-            grid = sphere_grid(6, response.breakpoints, getattr(response, "axis", None))
-        else:
-            grid = sphere_grid(48)
-        # m-integral of I(m) (m . T lambda) after the exact n-reduction.
+        if hasattr(response, "axis") and hasattr(response, "breakpoints"):
+            if response.axis is not None:
+                axial.append(comp)
+            continue
         c = block @ comp.hidden_state
-        values = np.asarray(response(grid.points), dtype=float) * (grid.points @ c)
-        terms.append(comp.weight * float(np.sum(grid.weights * values)))
+        value = integrate(sphere_grid(48), lambda m: response(m) * (m @ c))
+        terms.append(comp.weight * value)
+    if axial:
+        terms.extend(_axial_terms(block, axial).tolist())
     return (4.0 * math.pi / 3.0) * math.fsum(terms)
+
+
+def _axial_terms(block: np.ndarray, comps: list[ModelComponent]) -> np.ndarray:
+    """p_k (a_k . T lambda_k) 2 pi int f_k(z) z dz for axial components."""
+    nodes, node_weights = _legendre6()
+    edges = [(-1.0, *sorted(c.response.breakpoints), 1.0) for c in comps]
+    width = max(map(len, edges))
+    # Zero-width padding panels give every component the same node count.
+    edges = np.array([e + (1.0,) * (width - len(e)) for e in edges])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    if not half.min() >= 0.0:
+        raise ValueError("breakpoints must lie inside [-1, 1]")
+    mid = edges[:, :-1] + half
+    z = (mid[..., None] + half[..., None] * nodes).reshape(len(comps), -1)
+    w = (half[..., None] * node_weights).reshape(len(comps), -1)
+    axes = np.array([c.response.axis for c in comps])
+    points = (z[..., None] * axes[:, None, :]
+              + np.sqrt(1.0 - z * z)[..., None] * perpendicular(axes)[:, None, :])
+    f = np.array([c.response(p) for c, p in zip(comps, points)], dtype=float)
+    moments = 2.0 * math.pi * (w * f * z).sum(axis=1)
+    hidden = np.array([c.hidden_state for c in comps])
+    weights = np.array([c.weight for c in comps])
+    return weights * moments * ((axes @ block) * hidden).sum(axis=1)
+
+
+@cache
+def _legendre6() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(6)  # numpy.polynomial loads on first use
 
 
 def model_state_overlap_mc(tensor, model: HiddenStateModel, samples: int,
@@ -270,25 +291,26 @@ def random_model(rng: np.random.Generator) -> HiddenStateModel:
 
     Component count uniform in 1..MAX_COMPONENTS, weights from a flat
     simplex sample, hidden states uniform on the sphere, responses drawn
-    from the sign, clipped-linear and constant families. Broad enough to
-    probe the bound, not exhaustive.
+    uniformly from the sign, clipped-linear (radius U(0.05, 2) along a
+    uniform axis) and constant (+-1) families. Broad enough to probe the
+    bound, not exhaustive.
     """
     n = int(rng.integers(1, MAX_COMPONENTS + 1))
-    weights = rng.dirichlet(np.ones(n))
-    components = []
-    for k in range(n):
-        lam = uniform_sphere(1, rng)[0]
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            response = SignResponse(uniform_sphere(1, rng)[0])
-        elif kind == 1:
-            response = ClippedLinearResponse(
-                rng.uniform(0.05, 2.0) * uniform_sphere(1, rng)[0]
-            )
-        else:
-            response = ConstantResponse(float(rng.choice([-1.0, 1.0])))
-        components.append(ModelComponent(float(weights[k]), lam, response))
-    return HiddenStateModel(tuple(components))
+    weights = rng.standard_exponential(n)  # normalised: Dirichlet(1)
+    hidden, axes = uniform_sphere(2 * n, rng).reshape(2, n, 3)
+    kinds = rng.integers(0, 3, size=n)
+    radii = rng.uniform(0.05, 2.0, size=n)
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    responses = [
+        SignResponse(axis) if kind == 0
+        else ClippedLinearResponse(radius * axis) if kind == 1
+        else ConstantResponse(float(sign))
+        for kind, axis, radius, sign in zip(kinds, axes, radii, signs)
+    ]
+    return HiddenStateModel(tuple(
+        ModelComponent(float(w), lam, r)
+        for w, lam, r in zip(weights / weights.sum(), hidden, responses)
+    ))
 
 
 def chsh_ns_value(b1, b2, lam) -> float:

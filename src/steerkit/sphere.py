@@ -5,13 +5,10 @@ periodic rule in phi of n_phi = 2*n_theta points, so every spherical
 polynomial of total degree up to 2*n_theta - 1 integrates exactly. The
 polar range can be split into panels at given cos(theta) breakpoints,
 which restores exactness for integrands with kinks or jumps on latitude
-circles (e.g. sign responses split at the equator), and the whole grid can
-be rotated so the polar axis lines up with a given direction.
+circles (e.g. sign responses split at the equator).
 
-Unrotated rules are built once per (n_theta, breakpoints) and shared as
-read-only values; rotated rules rotate the shared points. The cache is
-bounded, since each clipped-linear response of norm above 1 brings its own
-breakpoints.
+Rules are built once per (n_theta, breakpoints) and shared as read-only
+values, from a bounded cache.
 """
 
 from __future__ import annotations
@@ -46,41 +43,23 @@ class SphereGrid:
         return len(self.weights)
 
 
-def rotation_to(axis) -> np.ndarray:
-    """Rotation matrix taking the z axis onto the direction of ``axis``.
-
-    For z >= 0 this is the rotation about z x axis; its entries carry
-    1/(1 + z), which stays within [1/2, 1]. For z < 0 the same formula is
-    taken about -axis and composed with a half turn about x, so neither
-    pole needs a special case (Duff et al., JCGT 6(1), 2017).
-    """
-    x, y, z = (float(c) for c in np.asarray(axis, dtype=float).reshape(3))
-    norm = math.hypot(x, y, z)
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"axis must be a nonzero finite vector, got {axis!r}")
-    x, y, z = x / norm, y / norm, z / norm
-    s = math.copysign(1.0, z)
-    a = -1.0 / (s + z)
-    b = x * y * a
-    return np.array([
-        [1.0 + s * x * x * a, b, x],
-        [s * b, s + y * y * a, y],
-        [-s * x, -y, z],
-    ])
-
-
-def sphere_grid(n_theta: int, breakpoints=(), axis=None) -> SphereGrid:
+def sphere_grid(n_theta: int, breakpoints=()) -> SphereGrid:
     """Product quadrature rule on the unit sphere.
 
     ``breakpoints`` lists cos(theta) values in (-1, 1) at which the polar
     interval is split into separate Gauss-Legendre panels of order
-    ``n_theta`` each; (0.0,) gives the hemispherical split. ``axis``
-    rotates the rule so its polar axis points along that direction.
+    ``n_theta`` each; (0.0,) gives the hemispherical split.
     """
-    grid = _unrotated(n_theta, tuple(sorted(float(b) for b in breakpoints)))
-    if axis is None:
-        return grid
-    return SphereGrid(grid.points @ rotation_to(axis).T, grid.weights, n_theta)
+    return _unrotated(n_theta, tuple(sorted(float(b) for b in breakpoints)))
+
+
+def perpendicular(axes: np.ndarray) -> np.ndarray:
+    """Unit vector orthogonal to each unit row of ``axes``, branch-free: x's
+    image under the rotation of z onto the row (Duff et al., JCGT 6(1), 2017)."""
+    x, y, z = axes.T
+    s = np.copysign(1.0, z)
+    t = -1.0 / (s + z)
+    return np.column_stack([1.0 + s * x * x * t, s * x * y * t, -s * x])
 
 
 @lru_cache(maxsize=64)

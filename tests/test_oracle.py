@@ -71,8 +71,26 @@ def test_unbounded_black_box_response_caught():
         model.check_responses()
 
 
+def test_clipped_response_geometry_down_to_zero():
+    tiny = sk.ClippedLinearResponse(np.array([1e-13, 0.0, 0.0]))
+    np.testing.assert_array_equal(tiny.axis, [1.0, 0.0, 0.0])
+    assert tiny.breakpoints == ()
+    block = np.diag([0.5, -0.2, 0.1])
+    model = single_component_model(np.array([0.6, 0.0, 0.8]), tiny)
+    expected = FOUR_PI_3 * FOUR_PI_3 * 1e-13 * 0.5 * 0.6
+    assert sk.model_state_overlap(tensor_from_block(block), model) == pytest.approx(
+        expected, rel=1e-14
+    )
+    zero = sk.ClippedLinearResponse(np.zeros(3))
+    assert zero.axis is None
+    assert zero.breakpoints == ()
+    model = single_component_model(Z, zero)
+    assert sk.model_state_overlap(tensor_from_block(block), model) == 0.0
+
+
 def test_rule_cache_stays_bounded():
-    # Every clipped response of norm above 1 has breakpoints of its own.
+    # Every clipped response of norm above 1 has breakpoints of its own; a
+    # caller that builds rules on them must not grow the cache without bound.
     rng = np.random.default_rng(17)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
     for k in range(500):
@@ -80,9 +98,28 @@ def test_rule_cache_stays_bounded():
             (1.1 + k / 1000.0) * sk.random_unit_vector(rng)
         )
         sk.model_state_overlap(tensor, single_component_model(Z, response))
+        sk.sphere_grid(6, response.breakpoints)
     info = sk.sphere._unrotated.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
+
+
+def test_declared_overlaps_build_no_rule():
+    # Clipped responses of norm above 1 each bring breakpoints of their own;
+    # none of them, nor sign or constant responses, needs a sphere rule.
+    rng = np.random.default_rng(17)
+    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    before = sk.sphere._unrotated.cache_info()
+    for k in range(500):
+        axis = sk.random_unit_vector(rng)
+        response = (
+            sk.ClippedLinearResponse((1.1 + k / 1000.0) * axis) if k % 3 == 0
+            else sk.SignResponse(axis) if k % 3 == 1
+            else sk.ConstantResponse(1.0)
+        )
+        sk.model_state_overlap(tensor, single_component_model(Z, response))
+    after = sk.sphere._unrotated.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 # --- E_NS evaluation -----------------------------------------------------------
@@ -225,7 +262,45 @@ def test_overlap_constant_response_vanishes():
     model = single_component_model(
         sk.random_unit_vector(rng), sk.ConstantResponse(1.0)
     )
-    assert sk.model_state_overlap(tensor, model) == pytest.approx(0.0, abs=1e-13)
+    assert sk.model_state_overlap(tensor, model) == 0.0
+
+
+def test_axial_moments_match_closed_forms():
+    # 2 pi int_{-1}^{1} f(z) z dz, written out by hand per response family:
+    # sign 2 pi; clip(r z) 4 pi r / 3 for r <= 1, 4 pi (1/2 - 1/(6 r^2)) above.
+    axis = np.array([2.0, -3.0, 6.0]) / 7.0
+    cases = [(sk.SignResponse(axis), 2.0 * np.pi)]
+    for r in (0.05, 0.5, 1.0):
+        cases.append((sk.ClippedLinearResponse(r * axis), 4.0 * np.pi * r / 3.0))
+    for r in (1.0, 1.0 + 1e-9, 1.5, 2.0):
+        cases.append((sk.ClippedLinearResponse(r * axis),
+                      4.0 * np.pi * (0.5 - 1.0 / (6.0 * r * r))))
+    tensor = tensor_from_block(np.eye(3))
+    for response, moment in cases:
+        model = single_component_model(axis, response)
+        lhs = sk.model_state_overlap(tensor, model)
+        assert abs(lhs - FOUR_PI_3 * moment) <= 1e-14 * FOUR_PI_3 * moment, moment
+
+
+@pytest.mark.parametrize("axis", [
+    (1e-7, 0.0, -1.0), (3e-7, 2e-7, -1.0), (-1e-7, 1e-7, -1.0),
+    (1e-7, 0.0, 1.0), (3e-7, -2e-7, 1.0), (1e-9, 1e-9, -1.0),
+    (1.0, 0.0, -0.0), (0.6, 0.8, 0.0),
+])
+def test_overlap_axes_near_poles(axis):
+    w = np.array(axis) / np.linalg.norm(axis)
+    block = np.diag([0.3, -0.5, 0.9])
+    tensor = tensor_from_block(block)
+    lam = np.array([0.0, 0.6, 0.8])
+    sign = single_component_model(lam, sk.SignResponse(w))
+    clipped = single_component_model(lam, sk.ClippedLinearResponse(1.5 * w))
+    projection = float(w @ block @ lam)
+    bound = 8.0 * np.pi**2 / 3.0 * 0.9
+    assert abs(sk.model_state_overlap(tensor, sign)
+               - FOUR_PI_3 * 2.0 * np.pi * projection) <= 1e-15 * bound
+    gain = 4.0 * np.pi * (0.5 - 1.0 / (6.0 * 1.5**2))
+    assert abs(sk.model_state_overlap(tensor, clipped)
+               - FOUR_PI_3 * gain * projection) <= 1e-15 * bound
 
 
 def test_overlap_black_box_fallback_is_approximate():
@@ -262,11 +337,13 @@ def test_overlap_agrees_with_full_product_quadrature():
 
 
 def test_overlap_sign_full_quadrature_on_aligned_split_grid():
-    rng = np.random.default_rng(12)
-    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    # |T3| largest, so the top left singular vector is the grid's polar
+    # axis and the sign response jumps on its split equator.
+    tensor = tensor_from_block(np.diag([0.2, -0.45, -0.7]))
     schmidt = sk.svd3(tensor.block)
     model = sk.saturating_model(schmidt)
-    grid = sk.sphere_grid(8, breakpoints=(0.0,), axis=schmidt.u[0])
+    np.testing.assert_array_equal(np.abs(schmidt.u[0]), [0.0, 0.0, 1.0])
+    grid = sk.sphere_grid(8, breakpoints=(0.0,))
     full = sk.inner_product(
         sk.correlation_fn(tensor), sk.ns_correlation_fn(model), grid
     )
