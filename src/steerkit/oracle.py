@@ -17,12 +17,18 @@ whose hidden state is the top right singular vector and whose response is
 the sign of the projection onto the top left singular vector. This module
 evaluates all of these quantities numerically.
 
+The unit of work is a stack of models: random_models draws a whole stack in
+one set of array calls, model_state_overlaps integrates it in one pass, and
+verify_ns_inequality checks it against one SVD of T. random_model and
+model_state_overlap are their one-model cases.
+
 Integration strategy: the inner integral over n is a degree-2 spherical
 polynomial and reduces exactly to (4 pi / 3) * I(m) (m . T lambda). A
 response that declares ``axis`` and ``breakpoints`` is axial, I(m) =
 f(m . axis), and its m-integral against m . c is (axis . c) times the 1-D
 moment 2 pi int f(z) z dz, done by Gauss-Legendre on panels split at the
-breakpoints, so the built-in response families integrate exactly. A
+breakpoints, so the built-in response families integrate exactly; the
+axial components of every model in a stack share one panel pass. A
 declared axis of None marks a response that does not depend on m and
 contributes exactly 0. Black-box responses are integrated on the rule
 sphere_grid(48), also inside verify_ns_inequality; at discontinuities use
@@ -34,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from typing import Sequence
 
 import numpy as np
 
@@ -80,8 +87,8 @@ class ClippedLinearResponse:
 
     def __post_init__(self):
         v = np.array(self.vector, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if v.shape != (3,) or not norm <= 2.0 + 1e-12:
+        norm = math.sqrt(v.dot(v)) if v.shape == (3,) else math.nan
+        if not norm <= 2.0 + 1e-12:
             raise ValueError("vector must be a 3-vector with norm <= 2")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
@@ -90,7 +97,7 @@ class ClippedLinearResponse:
         object.__setattr__(self, "breakpoints", bps)
 
     def __call__(self, m):
-        return np.clip(np.asarray(m) @ self.vector, -1.0, 1.0)
+        return np.minimum(np.maximum(np.asarray(m) @ self.vector, -1.0), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +109,7 @@ class ConstantResponse:
     breakpoints = ()
 
     def __post_init__(self):
-        if abs(self.value) > 1.0:
+        if not abs(self.value) <= 1.0:
             raise ValueError("constant response must lie in [-1, 1]")
 
     def __call__(self, m):
@@ -116,8 +123,8 @@ class ModelComponent:
     response: object
 
     def __post_init__(self):
-        if self.weight < 0.0:
-            raise ValueError(f"negative weight {self.weight!r}")
+        if not 0.0 <= self.weight < math.inf:
+            raise ValueError(f"weight {self.weight!r} is not finite and non-negative")
         object.__setattr__(self, "hidden_state", unit_vector(self.hidden_state))
 
 
@@ -132,7 +139,7 @@ class HiddenStateModel:
         if not comps:
             raise ValueError("model needs at least one component")
         total = math.fsum(c.weight for c in comps)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "components", comps)
 
@@ -141,20 +148,10 @@ class HiddenStateModel:
         points = sphere_grid(6).points
         for k, comp in enumerate(self.components):
             worst = float(np.max(np.abs(comp.response(points))))
-            if worst > 1.0 + RESPONSE_BOUND_TOL:
+            if not worst <= 1.0 + RESPONSE_BOUND_TOL:
                 raise ValueError(
                     f"component {k} response reaches {worst:.6f}, beyond 1"
                 )
-
-
-def eval_ns_correlation(model: HiddenStateModel, m, n) -> float:
-    """E_NS(m, n) for unit settings m, n."""
-    m = unit_vector(m)
-    n = unit_vector(n)
-    return math.fsum(
-        c.weight * float(c.response(m)) * float(n @ c.hidden_state)
-        for c in model.components
-    )
 
 
 def ns_correlation_fn(model: HiddenStateModel):
@@ -200,28 +197,42 @@ def saturating_model(schmidt: SchmidtForm) -> HiddenStateModel:
 
 
 def model_state_overlap(tensor, model: HiddenStateModel) -> float:
-    """(E_Q, E_NS) with the n-integral done analytically.
+    """(E_Q, E_NS) of one model: the one-model case of model_state_overlaps."""
+    return model_state_overlaps(tensor, (model,))[0]
 
-    Exact for the built-in response families; arbitrary callables without
-    declared ``axis`` and ``breakpoints`` are integrated on
-    ``sphere_grid(48)`` and may lose accuracy at discontinuities (use the
-    Monte Carlo route for those).
+
+def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[float]:
+    """(E_Q, E_NS) of each model, with the n-integral done analytically.
+
+    The axial components of all models go through one panel pass, and each
+    model's terms are summed on their own. Exact for the built-in response
+    families; arbitrary callables without declared ``axis`` and
+    ``breakpoints`` are integrated on ``sphere_grid(48)`` and may lose
+    accuracy at discontinuities (use the Monte Carlo route for those).
     """
     block = tensor.block
-    terms = []
+    comps = [c for model in models for c in model.components]
+    terms = [0.0] * len(comps)
     axial = []
-    for comp in model.components:
+    for k, comp in enumerate(comps):
         response = comp.response
         if hasattr(response, "axis") and hasattr(response, "breakpoints"):
             if response.axis is not None:
-                axial.append(comp)
+                axial.append(k)
             continue
         c = block @ comp.hidden_state
         value = integrate(sphere_grid(48), lambda m: response(m) * (m @ c))
-        terms.append(comp.weight * value)
+        terms[k] = comp.weight * value
     if axial:
-        terms.extend(_axial_terms(block, axial).tolist())
-    return (4.0 * math.pi / 3.0) * math.fsum(terms)
+        values = _axial_terms(block, [comps[k] for k in axial]).tolist()
+        for k, value in zip(axial, values):
+            terms[k] = value
+    overlaps = []
+    stop = 0
+    for model in models:
+        start, stop = stop, stop + len(model.components)
+        overlaps.append((4.0 * math.pi / 3.0) * math.fsum(terms[start:stop]))
+    return overlaps
 
 
 def _axial_terms(block: np.ndarray, comps: list[ModelComponent]) -> np.ndarray:
@@ -238,8 +249,8 @@ def _axial_terms(block: np.ndarray, comps: list[ModelComponent]) -> np.ndarray:
     z = (mid[..., None] + half[..., None] * nodes).reshape(len(comps), -1)
     w = (half[..., None] * node_weights).reshape(len(comps), -1)
     axes = np.array([c.response.axis for c in comps])
-    points = (z[..., None] * axes[:, None, :]
-              + np.sqrt(1.0 - z * z)[..., None] * perpendicular(axes)[:, None, :])
+    points = z[..., None] * axes[:, None, :]
+    points += np.sqrt(1.0 - z * z)[..., None] * perpendicular(axes)[:, None, :]
     f = np.array([c.response(p) for c, p in zip(comps, points)], dtype=float)
     moments = 2.0 * math.pi * (w * f * z).sum(axis=1)
     hidden = np.array([c.hidden_state for c in comps])
@@ -272,54 +283,53 @@ class NsInequalityCheck:
     holds: bool
 
 
-def verify_ns_inequality(tensor, model: HiddenStateModel) -> NsInequalityCheck:
-    """Check (E_Q, E_NS) <= (8 pi^2 / 3) T1 for one model.
+def verify_ns_inequality(tensor, models: Sequence[HiddenStateModel]
+                         ) -> list[NsInequalityCheck]:
+    """Check (E_Q, E_NS) <= (8 pi^2 / 3) T1 for each model of a sequence.
 
-    Response boundedness is sample-checked first. The comparison allows a
-    1e-6 relative quadrature tolerance.
+    Every model's responses are sample-checked for boundedness first; T1
+    comes from one SVD of T. The comparison allows a 1e-6 relative
+    quadrature tolerance.
     """
-    model.check_responses()
-    schmidt = svd3(tensor.block)
-    bound = ns_bound(schmidt)
-    lhs = model_state_overlap(tensor, model)
+    for model in models:
+        model.check_responses()
+    bound = ns_bound(svd3(tensor.block))
     tolerance = NS_RELATIVE_TOL * bound + 1e-12
-    return NsInequalityCheck(lhs, bound, tolerance, lhs <= bound + tolerance)
+    return [NsInequalityCheck(lhs, bound, tolerance, lhs <= bound + tolerance)
+            for lhs in model_state_overlaps(tensor, models)]
 
 
 def random_model(rng: np.random.Generator) -> HiddenStateModel:
-    """Random non-steering model for property testing.
+    """One random model: the one-model case of random_models."""
+    return random_models(rng, 1)[0]
 
-    Component count uniform in 1..MAX_COMPONENTS, weights from a flat
-    simplex sample, hidden states uniform on the sphere, responses drawn
-    uniformly from the sign, clipped-linear (radius U(0.05, 2) along a
+
+def random_models(rng: np.random.Generator, count: int) -> list[HiddenStateModel]:
+    """``count`` random non-steering models for property testing.
+
+    Component counts uniform in 1..MAX_COMPONENTS, weights from a flat
+    simplex sample per model, hidden states uniform on the sphere, responses
+    drawn uniformly from the sign, clipped-linear (radius U(0.05, 2) along a
     uniform axis) and constant (+-1) families. Broad enough to probe the
-    bound, not exhaustive.
+    bound, not exhaustive. All models are drawn in one set of array calls.
     """
-    n = int(rng.integers(1, MAX_COMPONENTS + 1))
-    weights = rng.standard_exponential(n)  # normalised: Dirichlet(1)
-    hidden, axes = uniform_sphere(2 * n, rng).reshape(2, n, 3)
-    kinds = rng.integers(0, 3, size=n)
-    radii = rng.uniform(0.05, 2.0, size=n)
-    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    sizes = rng.integers(1, MAX_COMPONENTS + 1, size=count)
+    stops = sizes.cumsum()
+    total = int(sizes.sum())
+    weights = rng.standard_exponential(total)  # normalised per model: Dirichlet(1)
+    weights /= np.add.reduceat(weights, stops - sizes).repeat(sizes)
+    hidden, axes = uniform_sphere(2 * total, rng).reshape(2, total, 3)
+    kind, radius, sign = rng.random((3, total)).tolist()  # U(0, 1) each
     responses = [
-        SignResponse(axis) if kind == 0
-        else ClippedLinearResponse(radius * axis) if kind == 1
-        else ConstantResponse(float(sign))
-        for kind, axis, radius, sign in zip(kinds, axes, radii, signs)
+        SignResponse(axis) if k < 1.0 / 3.0
+        else ClippedLinearResponse((0.05 + 1.95 * r) * axis) if k < 2.0 / 3.0
+        else ConstantResponse(-1.0 if s < 0.5 else 1.0)
+        for k, axis, r, s in zip(kind, axes, radius, sign)
     ]
-    return HiddenStateModel(tuple(
-        ModelComponent(float(w), lam, r)
-        for w, lam, r in zip(weights / weights.sum(), hidden, responses)
-    ))
-
-
-def chsh_ns_value(b1, b2, lam) -> float:
-    """Two-setting algebraic expression at fixed directions, with Alice's
-    +-1 responses chosen optimally."""
-    b1 = unit_vector(b1)
-    b2 = unit_vector(b2)
-    lam = unit_vector(lam)
-    return abs(float((b1 + b2) @ lam)) + abs(float((b1 - b2) @ lam))
+    comps = [ModelComponent(w, lam, r)
+             for w, lam, r in zip(weights.tolist(), hidden, responses)]
+    return [HiddenStateModel(tuple(comps[stop - size:stop]))
+            for size, stop in zip(sizes.tolist(), stops.tolist())]
 
 
 def _direction_grid(step_deg: float) -> np.ndarray:

@@ -59,7 +59,8 @@ def perpendicular(axes: np.ndarray) -> np.ndarray:
     x, y, z = axes.T
     s = np.copysign(1.0, z)
     t = -1.0 / (s + z)
-    return np.column_stack([1.0 + s * x * x * t, s * x * y * t, -s * x])
+    sx = s * x
+    return np.array([1.0 + sx * x * t, sx * y * t, -sx]).T
 
 
 @lru_cache(maxsize=64)

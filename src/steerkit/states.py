@@ -9,6 +9,7 @@ criterion in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +19,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
-BLOCH_NORM_TOL = 1e-12
 ZERO_BRANCH_TOL = 1e-14
 
 SIGMA_0 = np.eye(2, dtype=complex)
@@ -169,20 +169,9 @@ def unit_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    defect = abs(float(np.linalg.norm(a)) - 1.0)
-    if defect > UNIT_NORM_TOL:
+    defect = abs(math.sqrt(a.dot(a)) - 1.0)  # NaN fails the check below
+    if not defect <= UNIT_NORM_TOL:
         raise ValueError(f"not a unit vector, |norm - 1| = {defect:.3e}")
-    return a
-
-
-def bloch_vector(v) -> np.ndarray:
-    """Check that v fits inside the Bloch ball (norm <= 1 within 1e-12)."""
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    overshoot = float(np.linalg.norm(a)) - 1.0
-    if overshoot > BLOCH_NORM_TOL:
-        raise ValueError(f"Bloch norm exceeds 1 by {overshoot:.3e}")
     return a
 
 

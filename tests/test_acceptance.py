@@ -120,8 +120,7 @@ def test_criterion_6_ns_bound_and_tightness():
         tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
         schmidt = sk.svd3(tensor.block)
         bound = sk.ns_bound(schmidt)
-        for _ in range(500):
-            check = sk.verify_ns_inequality(tensor, sk.random_model(rng))
+        for check in sk.verify_ns_inequality(tensor, sk.random_models(rng, 500)):
             violations += 0 if check.holds else 1
             worst_excess = max(worst_excess, (check.lhs - bound) / bound)
             trials += 1

@@ -1,4 +1,6 @@
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,40 @@ def test_unbounded_black_box_response_caught():
         model.check_responses()
 
 
+def test_nan_black_box_response_caught():
+    model = single_component_model(Z, lambda m: np.full(len(m), np.nan))
+    with pytest.raises(ValueError):
+        model.check_responses()
+
+
+def test_sign_response_rejects_nan_axis():
+    with pytest.raises(ValueError):
+        sk.SignResponse([np.nan, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        sk.ClippedLinearResponse([np.nan, 0.0, 0.0])
+
+
+def test_constant_response_rejects_nan():
+    with pytest.raises(ValueError):
+        sk.ConstantResponse(np.nan)
+
+
+def test_component_rejects_non_finite_weight():
+    for weight in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            sk.ModelComponent(weight, Z, sk.ConstantResponse(1.0))
+    # The model's own sum check must fail on NaN too, not only the component's.
+    stand_in = SimpleNamespace(weight=np.nan, hidden_state=Z,
+                               response=sk.ConstantResponse(1.0))
+    with pytest.raises(ValueError):
+        sk.HiddenStateModel((stand_in,))
+
+
+def test_component_rejects_nan_hidden_state():
+    with pytest.raises(ValueError):
+        sk.ModelComponent(1.0, [np.nan, 0.0, 0.0], sk.SignResponse(Z))
+
+
 def test_clipped_response_geometry_down_to_zero():
     tiny = sk.ClippedLinearResponse(np.array([1e-13, 0.0, 0.0]))
     np.testing.assert_array_equal(tiny.axis, [1.0, 0.0, 0.0])
@@ -127,7 +163,7 @@ def test_declared_overlaps_build_no_rule():
 
 def test_ns_correlation_aligned_deterministic():
     model = single_component_model(Z, sk.ConstantResponse(1.0))
-    assert sk.eval_ns_correlation(model, np.array([1.0, 0, 0]), Z) == pytest.approx(1.0)
+    assert sk.ns_correlation_fn(model)(np.array([1.0, 0, 0]), Z) == pytest.approx(1.0)
 
 
 def test_ns_correlation_zero_response():
@@ -136,7 +172,7 @@ def test_ns_correlation_zero_response():
     for _ in range(5):
         m = sk.random_unit_vector(rng)
         n = sk.random_unit_vector(rng)
-        assert sk.eval_ns_correlation(model, m, n) == 0.0
+        assert sk.ns_correlation_fn(model)(m, n) == 0.0
 
 
 def test_ns_correlation_two_components():
@@ -146,7 +182,7 @@ def test_ns_correlation_two_components():
             sk.ModelComponent(0.5, -Z, sk.SignResponse(-Z)),
         )
     )
-    assert sk.eval_ns_correlation(model, Z, Z) == pytest.approx(1.0)
+    assert sk.ns_correlation_fn(model)(Z, Z) == pytest.approx(1.0)
 
 
 def test_ns_correlation_fn_matches_scalar():
@@ -156,9 +192,10 @@ def test_ns_correlation_fn_matches_scalar():
     n = np.array([sk.random_unit_vector(rng) for _ in range(10)])
     batch = sk.ns_correlation_fn(model)(m, n)
     for k in range(10):
-        assert batch[k] == pytest.approx(
-            sk.eval_ns_correlation(model, m[k], n[k]), abs=1e-14
-        )
+        # E_NS(m, n) = sum_k p_k I_k(m) (n . lambda_k), written out per setting pair
+        scalar = sum(c.weight * float(c.response(m[k])) * float(n[k] @ c.hidden_state)
+                     for c in model.components)
+        assert batch[k] == pytest.approx(scalar, abs=1e-14)
         assert abs(batch[k]) <= 1.0 + 1e-12
 
 
@@ -350,6 +387,80 @@ def test_overlap_sign_full_quadrature_on_aligned_split_grid():
     assert full == pytest.approx(sk.ns_bound(schmidt), rel=1e-10)
 
 
+# --- stacks of models -------------------------------------------------------------
+
+
+def test_random_models_contract():
+    rng = np.random.default_rng(20)
+    models = sk.random_models(rng, 400)
+    assert len(models) == 400
+    kinds = set()
+    for model in models:
+        assert 1 <= len(model.components) <= sk.oracle.MAX_COMPONENTS
+        weights = np.array([c.weight for c in model.components])
+        assert np.all(weights >= 0.0)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        for c in model.components:
+            assert abs(np.linalg.norm(c.hidden_state) - 1.0) <= 1e-12
+            kinds.add(type(c.response))
+            if isinstance(c.response, sk.SignResponse):
+                assert abs(np.linalg.norm(c.response.axis) - 1.0) <= 1e-12
+            elif isinstance(c.response, sk.ClippedLinearResponse):
+                assert abs(np.linalg.norm(c.response.axis) - 1.0) <= 1e-12
+                assert 0.05 <= np.linalg.norm(c.response.vector) <= 2.0
+            else:
+                assert c.response.value in (-1.0, 1.0)
+    assert kinds == {sk.SignResponse, sk.ClippedLinearResponse, sk.ConstantResponse}
+    assert {len(m.components) for m in models} == set(
+        range(1, sk.oracle.MAX_COMPONENTS + 1))
+    assert sk.random_models(rng, 0) == []
+
+
+def _model_data(model):
+    out = []
+    for c in model.components:
+        r = c.response
+        detail = (r.axis.tolist() if isinstance(r, sk.SignResponse)
+                  else r.vector.tolist() if isinstance(r, sk.ClippedLinearResponse)
+                  else r.value)
+        out.append((c.weight, c.hidden_state.tolist(), type(r), detail))
+    return out
+
+
+def test_random_model_is_a_stack_of_one():
+    for seed in range(50):
+        single = sk.random_model(np.random.default_rng(seed))
+        (stacked,) = sk.random_models(np.random.default_rng(seed), 1)
+        assert _model_data(single) == _model_data(stacked)
+
+
+def _extra_model(rng):
+    # Components the random draw never makes: a response in [-1, 1] that is
+    # constant but not +-1, a zero clipped vector and a black box.
+    v = sk.random_unit_vector(rng)
+    responses = [sk.ConstantResponse(rng.uniform(-1.0, 1.0)),
+                 sk.ClippedLinearResponse(np.zeros(3)),
+                 lambda m: np.tanh(1.5 * (np.asarray(m) @ v))]
+    weights = rng.standard_exponential(3)
+    return sk.HiddenStateModel(tuple(
+        sk.ModelComponent(w, sk.random_unit_vector(rng), r)
+        for w, r in zip((weights / weights.sum()).tolist(), responses)))
+
+
+def test_model_state_overlaps_match_single_calls():
+    rng = np.random.default_rng(21)
+    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    bound = sk.ns_bound(sk.svd3(tensor.block))
+    for k in range(500):
+        models = sk.random_models(rng, k % 7)
+        models.insert(int(rng.integers(len(models) + 1)), _extra_model(rng))
+        stacked = sk.model_state_overlaps(tensor, models)
+        assert len(stacked) == len(models)
+        for model, value in zip(models, stacked):
+            assert abs(value - sk.model_state_overlap(tensor, model)) <= 1e-15 * bound
+    assert sk.model_state_overlaps(tensor, []) == []
+
+
 # --- the bound and its saturation ------------------------------------------------
 
 
@@ -382,7 +493,7 @@ def test_saturation_on_random_states():
 def test_verify_ns_inequality_saturating_model():
     tensor = sk.pauli_expansion(sk.werner(1.0))
     schmidt = sk.svd3(tensor.block)
-    check = sk.verify_ns_inequality(tensor, sk.saturating_model(schmidt))
+    (check,) = sk.verify_ns_inequality(tensor, [sk.saturating_model(schmidt)])
     assert check.holds
     assert check.lhs == pytest.approx(check.bound, rel=1e-10)
 
@@ -390,7 +501,7 @@ def test_verify_ns_inequality_saturating_model():
 def test_verify_ns_inequality_zero_response():
     tensor = sk.pauli_expansion(sk.werner(0.9))
     model = single_component_model(Z, sk.ConstantResponse(0.0))
-    check = sk.verify_ns_inequality(tensor, model)
+    (check,) = sk.verify_ns_inequality(tensor, [model])
     assert check.holds
     assert check.lhs == pytest.approx(0.0, abs=1e-13)
 
@@ -399,9 +510,22 @@ def test_verify_ns_inequality_random_models():
     rng = np.random.default_rng(14)
     for _ in range(5):
         tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-        for _ in range(100):
-            check = sk.verify_ns_inequality(tensor, sk.random_model(rng))
-            assert check.holds
+        checks = sk.verify_ns_inequality(tensor, sk.random_models(rng, 100))
+        assert len(checks) == 100
+        assert all(check.holds for check in checks)
+
+
+def test_verify_ns_inequality_stack_matches_single_calls():
+    rng = np.random.default_rng(19)
+    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    models = sk.random_models(rng, 50)
+    stacked = sk.verify_ns_inequality(tensor, models)
+    for model, check in zip(models, stacked, strict=True):
+        (single,) = sk.verify_ns_inequality(tensor, [model])
+        assert (check.bound, check.tolerance, check.holds) == (
+            single.bound, single.tolerance, single.holds)
+        assert abs(check.lhs - single.lhs) <= 1e-15 * check.bound
+    assert sk.verify_ns_inequality(tensor, []) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -409,7 +533,7 @@ def test_verify_ns_inequality_random_models():
 def test_ns_inequality_property(seed):
     rng = np.random.default_rng(seed)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    check = sk.verify_ns_inequality(tensor, sk.random_model(rng))
+    (check,) = sk.verify_ns_inequality(tensor, [sk.random_model(rng)])
     assert check.holds
 
 
@@ -437,16 +561,6 @@ def test_monte_carlo_overlap_consistent():
 
 
 # --- the two-setting comparison ---------------------------------------------------
-
-
-def test_chsh_value_aligned_corner():
-    assert sk.chsh_ns_value(Z, Z, Z) == 2.0
-
-
-def test_chsh_value_orthogonal_hidden_state():
-    b1 = np.array([1.0, 0.0, 0.0])
-    b2 = np.array([0.0, 1.0, 0.0])
-    assert sk.chsh_ns_value(b1, b2, Z) == 0.0
 
 
 def test_chsh_grid_alone_reaches_two():

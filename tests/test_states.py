@@ -269,11 +269,10 @@ def test_unit_vector_tolerance():
         sk.states.unit_vector([1.0, 0.0, 1e-5])
 
 
-def test_bloch_vector_ball():
-    sk.states.bloch_vector([0.3, 0.0, 0.4])
-    sk.states.bloch_vector([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        sk.states.bloch_vector([0.0, 0.0, 1.001])
+def test_unit_vector_rejects_non_finite():
+    for bad in ([np.nan, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            sk.states.unit_vector(bad)
 
 
 def test_matrices_are_read_only():
