@@ -16,12 +16,11 @@ def main():
 
     family = sk.werner_family()
     print(f"{'v':>6} {'T1':>8} {'||T||^2':>8}  ent steer bell chsh")
-    for record in sk.sweep(family, np.linspace(0.0, 1.0, args.points)):
-        flags = " ".join(
-            f"{int(v.detected):>4}" for v in record.verdicts
-        )
-        print(f"{record.parameters['v']:>6.3f} {record.t1:>8.4f} "
-              f"{record.norm_sq:>8.4f}  {flags}")
+    result = sk.sweep(family, np.linspace(0.0, 1.0, args.points))
+    flags = [sk.criteria.detected(margin) for _, _, margin in result.rows.values()]
+    for k, v in enumerate(result.v):
+        print(f"{v:>6.3f} {result.sigma[k, 0]:>8.4f} {result.norm_sq[k]:>8.4f}  "
+              + " ".join(f"{int(f[k]):>4}" for f in flags))
 
     print("\ncritical noise:")
     for criterion in sk.Criterion:

@@ -20,8 +20,10 @@ from . import oracle, sphere
 from .criteria import (
     Criterion,
     NoDetection,
-    all_criteria,
+    boundary,
     critical_noise,
+    detected,
+    ladder,
     tensor_norm_sq,
 )
 from .families import ParameterOutOfRange, family_from_name, sweep, werner
@@ -100,10 +102,10 @@ def _load_state(args) -> tuple[DensityMatrix4, str]:
     return family.state_at(args.v), label
 
 
-def _verdict_status(verdict) -> str:
-    if verdict.detected:
+def _status(verdict: dict) -> str:
+    if verdict["detected"]:
         return "detected"
-    if verdict.boundary:
+    if verdict["boundary"]:
         return "boundary"
     return "inconclusive"
 
@@ -112,7 +114,18 @@ def analysis_report(state: DensityMatrix4, label: str) -> dict:
     tensor = pauli_expansion(state)
     schmidt = svd3(tensor.block)
     norm_sq = tensor_norm_sq(tensor)
-    verdicts = all_criteria(schmidt, norm_sq)
+    verdicts = [
+        {
+            "criterion": criterion.value,
+            "lhs": lhs,
+            "bound": bound,
+            "margin": margin,
+            "detected": detected(margin),
+            "boundary": boundary(margin),
+        }
+        for criterion, (lhs, bound, margin) in ladder(
+            schmidt.t1, schmidt.t2, norm_sq).items()
+    ]
     return {
         "label": label,
         "tensor": [[float(x) for x in row] for row in tensor.full],
@@ -122,20 +135,8 @@ def analysis_report(state: DensityMatrix4, label: str) -> dict:
             "v": [[float(x) for x in row] for row in schmidt.v],
         },
         "norm_sq": norm_sq,
-        "verdicts": [
-            {
-                "criterion": v.criterion.value,
-                "lhs": v.lhs,
-                "bound": v.bound,
-                "margin": v.margin,
-                "detected": v.detected,
-                "boundary": v.boundary,
-            }
-            for v in verdicts
-        ],
-        "summary": "; ".join(
-            f"{v.criterion.value} {_verdict_status(v)}" for v in verdicts
-        ),
+        "verdicts": verdicts,
+        "summary": "; ".join(f"{v['criterion']} {_status(v)}" for v in verdicts),
     }
 
 
@@ -167,31 +168,26 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def cmd_sweep(args) -> int:
     family = family_from_name(args.family, args.alpha)
-    records = sweep(family, _parse_grid(args.grid))
-    fmt = lambda x: format(float(x), ".12g")
+    result = sweep(family, _parse_grid(args.grid))
+    fmt = lambda x: format(x, ".12g")
+    alpha = family.shape_parameters.get("alpha")
+    prefix = [family.name, "" if alpha is None else fmt(alpha)]
+    # One column per criterion in ladder order: ent, steer, bell, chsh.
+    flags = [detected(margin).astype(int).tolist()
+             for _, _, margin in result.rows.values()]
+    steer_margin = result.rows[Criterion.GEOMETRIC_STEERING][2]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["family", "alpha", "v", "T1", "normSq", "ent", "steer", "bell", "chsh",
          "steer_margin"]
     )
-    for rec in records:
-        alpha = rec.parameters.get("alpha")
-        ent, steer, bell, chsh = rec.verdicts  # ladder order
-        writer.writerow(
-            [
-                rec.family,
-                "" if alpha is None else fmt(alpha),
-                fmt(rec.parameters["v"]),
-                fmt(rec.t1),
-                fmt(rec.norm_sq),
-                int(ent.detected),
-                int(steer.detected),
-                int(bell.detected),
-                int(chsh.detected),
-                fmt(steer.margin),
-            ]
-        )
+    writer.writerows(
+        [*prefix, fmt(v), fmt(t1), fmt(n), *flag, fmt(m)]
+        for v, t1, n, m, *flag in zip(
+            result.v.tolist(), result.sigma[:, 0].tolist(),
+            result.norm_sq.tolist(), steer_margin.tolist(), *flags)
+    )
     _write(buf.getvalue(), args.out)
     return EXIT_OK
 
@@ -425,7 +421,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, json.JSONDecodeError, DocumentError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (StateValidationError, ParameterOutOfRange, NonRealComponent) as exc:

@@ -9,7 +9,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .criteria import CriterionVerdict, stack_ladder, stacked_verdicts
+from .criteria import stack_ladder
 from .states import DensityMatrix4, pauli_expansion, validate_state
 
 
@@ -65,26 +65,24 @@ def noisy_schmidt(alpha: float, v: float) -> DensityMatrix4:
 
 @dataclass(frozen=True)
 class NoiseFamily:
-    """One-parameter family v -> state, with any shape parameters fixed.
+    """One-parameter family v -> v|psi><psi| + (1 - v) I/4, with any shape
+    parameters fixed.
 
-    A family v|psi><psi| + (1 - v) I/4 declares ``pure_state`` = psi. Its
-    correlation block is then exactly v·T(1). Both endpoints are validated
-    once, so every state between them is one by convexity, and T(1) is
-    kept as ``unit_block``; sweeps and thresholds scale it instead of
-    calling ``state_at``, which stays the reference for single states.
+    The family declares ``pure_state`` = psi, so its correlation block is
+    exactly v·T(1). Both endpoints are validated once, so every state
+    between them is one by convexity, and T(1) is kept as ``unit_block``;
+    sweeps and thresholds scale it instead of calling ``state_at``, which
+    stays the reference for single states.
     """
 
     name: str
     description: str
     state_at: Callable[[float], DensityMatrix4]
+    pure_state: np.ndarray = field(repr=False, compare=False)
     shape_parameters: Mapping[str, float] = field(default_factory=dict)
-    pure_state: np.ndarray | None = field(default=None, repr=False, compare=False)
-    unit_block: np.ndarray | None = field(
-        init=False, default=None, repr=False, compare=False)
+    unit_block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.pure_state is None:
-            return
         psi = np.array(self.pure_state, dtype=complex)
         psi.setflags(write=False)
         object.__setattr__(self, "pure_state", psi)
@@ -92,22 +90,9 @@ class NoiseFamily:
         unit = pauli_expansion(_noisy_pure(psi, 1.0))
         object.__setattr__(self, "unit_block", unit.block)
 
-    def blocks(self, v_grid) -> np.ndarray:
-        """Correlation blocks at each v of the grid, stacked as (N, 3, 3)."""
-        v = np.asarray(v_grid, dtype=float).reshape(-1)
-        if self.unit_block is not None:
-            outside = v[~((0.0 <= v) & (v <= 1.0))]
-            if outside.size:
-                _check_noise(float(outside[0]))
-            return v[:, None, None] * self.unit_block
-        return np.array(
-            [pauli_expansion(self.state_at(x)).block for x in v.tolist()]
-        ).reshape(-1, 3, 3)
-
 
 def werner_family() -> NoiseFamily:
-    return NoiseFamily("werner", "singlet with white noise", werner,
-                       pure_state=_SINGLET)
+    return NoiseFamily("werner", "singlet with white noise", werner, _SINGLET)
 
 
 def noisy_schmidt_family(alpha: float) -> NoiseFamily:
@@ -116,13 +101,15 @@ def noisy_schmidt_family(alpha: float) -> NoiseFamily:
         "noisy-schmidt",
         "partially entangled pure state with white noise",
         partial(noisy_schmidt, alpha),
-        {"alpha": float(alpha)},
         _schmidt_vector(alpha),
+        {"alpha": float(alpha)},
     )
 
 
 def family_from_name(name: str, alpha: float | None = None) -> NoiseFamily:
     if name == "werner":
+        if alpha is not None:
+            raise ParameterOutOfRange("werner takes no alpha value")
         return werner_family()
     if name == "noisy-schmidt":
         if alpha is None:
@@ -131,30 +118,28 @@ def family_from_name(name: str, alpha: float | None = None) -> NoiseFamily:
     raise ParameterOutOfRange(f"unknown family {name!r}")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Derived data for one grid point; recomputable from the parameters."""
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """A sweep as columns, one entry per grid point in ascending ``v``.
 
-    family: str
-    parameters: Mapping[str, float]
-    t1: float
-    norm_sq: float
-    verdicts: tuple[CriterionVerdict, ...]
+    ``sigma`` (N, 3) holds the singular values, ``norm_sq`` the squared
+    norms and ``rows`` the ladder, criterion -> (lhs, bound, margin), each
+    an array of length N.
+    """
+
+    v: np.ndarray
+    sigma: np.ndarray
+    norm_sq: np.ndarray
+    rows: dict
+
+    def __len__(self) -> int:
+        return len(self.v)
 
 
-def sweep(family: NoiseFamily, v_grid) -> list[SweepRecord]:
-    """Evaluate all criteria on each grid point, ordered by parameters."""
+def sweep(family: NoiseFamily, v_grid) -> Sweep:
+    """Evaluate all criteria on each grid point, in ascending v."""
     v = np.sort(np.fromiter(v_grid, dtype=float))
-    sigma, norm_sq, rows = stack_ladder(family.blocks(v))
-    return [
-        SweepRecord(
-            family=family.name,
-            parameters={**family.shape_parameters, "v": x},
-            t1=t1,
-            norm_sq=n,
-            verdicts=verdicts,
-        )
-        for x, t1, n, verdicts in zip(
-            v.tolist(), sigma[:, 0].tolist(), norm_sq.tolist(),
-            stacked_verdicts(rows))
-    ]
+    outside = v[~((0.0 <= v) & (v <= 1.0))]
+    if outside.size:
+        _check_noise(float(outside[0]))
+    return Sweep(v, *stack_ladder(v[:, None, None] * family.unit_block))

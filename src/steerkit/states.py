@@ -204,13 +204,6 @@ def state_from_tensor(tensor: CorrelationTensor) -> DensityMatrix4:
     return validate_state(rho)
 
 
-def correlation_function(tensor: CorrelationTensor, m, n) -> float:
-    """Joint correlation E(m, n) = sum_ij T_ij m_i n_j for unit settings."""
-    m = unit_vector(m)
-    n = unit_vector(n)
-    return float(m @ tensor.block @ n)
-
-
 def correlation_fn(tensor: CorrelationTensor):
     """Vectorized E(m, n) over arrays of paired settings, for quadrature."""
     block = tensor.block

@@ -63,7 +63,8 @@ def monomial_sphere_integral(a: int, b: int, c: int) -> float:
 
 
 def criteria_for_state(state):
+    """Tensor, Schmidt form, squared norm and ladder rows of one state."""
     tensor = sk.pauli_expansion(state)
     schmidt = sk.svd3(tensor.block)
     norm_sq = sk.tensor_norm_sq(tensor)
-    return tensor, schmidt, norm_sq, sk.all_criteria(schmidt, norm_sq)
+    return tensor, schmidt, norm_sq, sk.ladder(schmidt.t1, schmidt.t2, norm_sq)

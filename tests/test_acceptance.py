@@ -9,7 +9,7 @@ import pytest
 
 import steerkit as sk
 from steerkit import cli
-from helpers import haar_unitary2, locally_rotated
+from helpers import criteria_for_state, haar_unitary2, locally_rotated
 
 FOUR_PI = 4.0 * np.pi
 
@@ -68,9 +68,9 @@ def test_criterion_3_noisy_schmidt_threshold_curve():
     assert 3.0 / (2.0 * (1.0 + 2.0 * math.sin(np.pi / 6) ** 2)) == pytest.approx(
         1.0, abs=1e-15
     )
-    tensor = sk.pauli_expansion(boundary_family.state_at(1.0))
-    verdict = sk.steering_criterion(sk.svd3(tensor.block), sk.tensor_norm_sq(tensor))
-    assert verdict.boundary and not verdict.detected
+    margin = criteria_for_state(boundary_family.state_at(1.0))[3][
+        sk.Criterion.GEOMETRIC_STEERING][2]
+    assert sk.criteria.boundary(margin) and not sk.criteria.detected(margin)
     with pytest.raises(sk.NoDetection):
         sk.critical_noise(boundary_family, sk.Criterion.GEOMETRIC_STEERING)
 
@@ -197,22 +197,13 @@ def test_criterion_9_property_suites():
     for _ in range(100):
         state = sk.random_density_matrix(rng)
         rotated = locally_rotated(state, haar_unitary2(rng), haar_unitary2(rng))
-        for original, transformed in zip(
-            sk.all_criteria(
-                sk.svd3(sk.pauli_expansion(state).block),
-                sk.tensor_norm_sq(sk.pauli_expansion(state)),
-            ),
-            sk.all_criteria(
-                sk.svd3(sk.pauli_expansion(rotated).block),
-                sk.tensor_norm_sq(sk.pauli_expansion(rotated)),
-            ),
+        for (lhs, bound, margin), (lhs_r, bound_r, margin_r) in zip(
+            criteria_for_state(state)[3].values(),
+            criteria_for_state(rotated)[3].values(),
         ):
-            assert original.detected == transformed.detected
-            assert original.boundary == transformed.boundary
-            diff = max(
-                abs(original.lhs - transformed.lhs),
-                abs(original.bound - transformed.bound),
-            )
+            assert sk.criteria.detected(margin) == sk.criteria.detected(margin_r)
+            assert sk.criteria.boundary(margin) == sk.criteria.boundary(margin_r)
+            diff = max(abs(lhs - lhs_r), abs(bound - bound_r))
             worst_value = max(worst_value, diff)
     assert worst_value <= 1e-10
 

@@ -50,11 +50,12 @@ def test_analyze_report_is_self_consistent(capsys):
     report = json.loads(out)
     tensor = sk.CorrelationTensor(np.array(report["tensor"]))
     schmidt = sk.svd3(tensor.block)
-    rebuilt = sk.all_criteria(schmidt, sk.tensor_norm_sq(tensor))
-    for stored, fresh in zip(report["verdicts"], rebuilt):
-        assert stored["criterion"] == fresh.criterion.value
-        assert stored["lhs"] == pytest.approx(fresh.lhs, abs=1e-12)
-        assert stored["detected"] == fresh.detected
+    rebuilt = sk.ladder(schmidt.t1, schmidt.t2, sk.tensor_norm_sq(tensor))
+    for stored, (criterion, (lhs, _, margin)) in zip(
+            report["verdicts"], rebuilt.items()):
+        assert stored["criterion"] == criterion.value
+        assert stored["lhs"] == pytest.approx(lhs, abs=1e-12)
+        assert stored["detected"] == sk.criteria.detected(margin)
 
 
 def test_analyze_document_round_trip(tmp_path, capsys):
@@ -129,6 +130,15 @@ def test_analyze_nan_document(tmp_path, capsys):
     assert out == ""
     assert err.startswith("invalid input:")
     assert "NonFinite" in err
+
+
+def test_analyze_document_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"matrix": []}).encode("utf-16-le"))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_analyze_missing_file(capsys):
@@ -233,6 +243,18 @@ def test_sweep_values_have_12_significant_digits(capsys):
     assert float(margin) == pytest.approx(1.0, abs=1e-11)
     t1 = rows[1][3]  # v = 0.5
     assert abs(float(t1) - 0.5) <= 1e-11
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "werner", "--v", "0.6"],
+    ["sweep", "--family", "werner", "--grid", "0:1:3"],
+    ["threshold", "--family", "werner", "--criterion", "steering"],
+], ids=lambda argv: argv[0])
+def test_werner_rejects_alpha(capsys, argv):
+    code, out, err = run(capsys, *argv, "--alpha", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:")
 
 
 # --- threshold -----------------------------------------------------------------

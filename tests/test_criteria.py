@@ -5,91 +5,89 @@ from hypothesis import strategies as st
 
 import steerkit as sk
 from helpers import criteria_for_state, haar_unitary2, locally_rotated
+from steerkit.criteria import boundary, detected
 
 
-def verdicts_for(state):
-    return criteria_for_state(state)[3]
-
-
-def by_name(verdicts):
-    return {v.criterion.value: v for v in verdicts}
+def rows_for(state):
+    """The ladder rows (lhs, bound, margin) of a state, by criterion name."""
+    return {c.value: row for c, row in criteria_for_state(state)[3].items()}
 
 
 def test_steering_werner_06_detected():
-    v = by_name(verdicts_for(sk.werner(0.6)))["steering"]
-    assert v.lhs == pytest.approx(0.6, abs=1e-12)
-    assert v.bound == pytest.approx(0.72, abs=1e-12)
-    assert v.margin == pytest.approx(0.12, abs=1e-12)
-    assert v.detected and not v.boundary
+    lhs, bound, margin = rows_for(sk.werner(0.6))["steering"]
+    assert lhs == pytest.approx(0.6, abs=1e-12)
+    assert bound == pytest.approx(0.72, abs=1e-12)
+    assert margin == pytest.approx(0.12, abs=1e-12)
+    assert detected(margin) and not boundary(margin)
 
 
 def test_steering_werner_04_inconclusive():
-    v = by_name(verdicts_for(sk.werner(0.4)))["steering"]
-    assert v.lhs == pytest.approx(0.4, abs=1e-12)
-    assert v.bound == pytest.approx(0.32, abs=1e-12)
-    assert not v.detected
+    lhs, bound, margin = rows_for(sk.werner(0.4))["steering"]
+    assert lhs == pytest.approx(0.4, abs=1e-12)
+    assert bound == pytest.approx(0.32, abs=1e-12)
+    assert not detected(margin)
 
 
 def test_maximally_mixed_all_boundary():
     mixed = sk.validate_state(np.eye(4) / 4.0)
-    verdicts = by_name(verdicts_for(mixed))
+    rows = rows_for(mixed)
     for name in ("entanglement", "steering", "bell"):
-        assert verdicts[name].boundary
-        assert not verdicts[name].detected
-    assert not verdicts["chsh"].detected
-    assert not verdicts["chsh"].boundary
+        assert boundary(rows[name][2])
+        assert not detected(rows[name][2])
+    assert not detected(rows["chsh"][2])
+    assert not boundary(rows["chsh"][2])
 
 
 def test_bell_werner_08_detected():
-    v = by_name(verdicts_for(sk.werner(0.8)))["bell"]
-    assert v.lhs == pytest.approx(0.8, abs=1e-12)
-    assert v.bound == pytest.approx((4.0 / 9.0) * 1.92, abs=1e-12)
-    assert v.detected
+    lhs, bound, margin = rows_for(sk.werner(0.8))["bell"]
+    assert lhs == pytest.approx(0.8, abs=1e-12)
+    assert bound == pytest.approx((4.0 / 9.0) * 1.92, abs=1e-12)
+    assert detected(margin)
 
 
 def test_bell_werner_07_inconclusive():
-    v = by_name(verdicts_for(sk.werner(0.7)))["bell"]
-    assert v.bound == pytest.approx(0.65333333333, abs=1e-9)
-    assert not v.detected
+    _, bound, margin = rows_for(sk.werner(0.7))["bell"]
+    assert bound == pytest.approx(0.65333333333, abs=1e-9)
+    assert not detected(margin)
 
 
 def test_entanglement_werner_04_detected():
-    v = by_name(verdicts_for(sk.werner(0.4)))["entanglement"]
-    assert v.bound == pytest.approx(0.48, abs=1e-12)
-    assert v.detected
+    _, bound, margin = rows_for(sk.werner(0.4))["entanglement"]
+    assert bound == pytest.approx(0.48, abs=1e-12)
+    assert detected(margin)
 
 
 def test_entanglement_werner_third_boundary():
-    v = by_name(verdicts_for(sk.werner(1.0 / 3.0)))["entanglement"]
-    assert v.boundary
-    assert not v.detected
+    margin = rows_for(sk.werner(1.0 / 3.0))["entanglement"][2]
+    assert boundary(margin)
+    assert not detected(margin)
 
 
 def test_product_state_boundary():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    verdicts = by_name(verdicts_for(sk.validate_state(rho)))
-    assert verdicts["entanglement"].lhs == pytest.approx(1.0, abs=1e-12)
-    assert verdicts["entanglement"].bound == pytest.approx(1.0, abs=1e-12)
-    assert verdicts["entanglement"].boundary
-    assert not verdicts["entanglement"].detected
+    lhs, bound, margin = rows_for(sk.validate_state(rho))["entanglement"]
+    assert lhs == pytest.approx(1.0, abs=1e-12)
+    assert bound == pytest.approx(1.0, abs=1e-12)
+    assert boundary(margin)
+    assert not detected(margin)
 
 
 def test_chsh_werner():
-    assert by_name(verdicts_for(sk.werner(0.8)))["chsh"].detected
-    v = by_name(verdicts_for(sk.werner(0.7)))["chsh"]
-    assert v.lhs == pytest.approx(0.98, abs=1e-12)
-    assert not v.detected
-    assert by_name(verdicts_for(sk.werner(1.0)))["chsh"].detected
+    assert detected(rows_for(sk.werner(0.8))["chsh"][2])
+    lhs, _, margin = rows_for(sk.werner(0.7))["chsh"]
+    assert lhs == pytest.approx(0.98, abs=1e-12)
+    assert not detected(margin)
+    assert detected(rows_for(sk.werner(1.0))["chsh"][2])
 
 
 def test_margin_signs():
-    verdicts = by_name(verdicts_for(sk.werner(0.9)))
-    steer = verdicts["steering"]
-    assert steer.margin == steer.bound - steer.lhs
-    chsh = verdicts["chsh"]
-    assert chsh.margin == chsh.lhs - chsh.bound
-    assert chsh.margin == pytest.approx(2 * 0.81 - 1.0, abs=1e-12)
+    rows = rows_for(sk.werner(0.9))
+    lhs, bound, margin = rows["steering"]
+    assert margin == bound - lhs
+    lhs, bound, margin = rows["chsh"]
+    assert margin == lhs - bound
+    assert margin == pytest.approx(2 * 0.81 - 1.0, abs=1e-12)
 
 
 def test_tensor_norm_sq_closed_forms():
@@ -121,11 +119,37 @@ def test_tensor_norm_bounded_for_valid_states(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_ladder_ordering(seed):
     rng = np.random.default_rng(seed)
-    verdicts = by_name(verdicts_for(sk.random_density_matrix(rng)))
-    if verdicts["bell"].detected:
-        assert verdicts["steering"].detected
-    if verdicts["steering"].detected:
-        assert verdicts["entanglement"].detected
+    rows = rows_for(sk.random_density_matrix(rng))
+    if detected(rows["bell"][2]):
+        assert detected(rows["steering"][2])
+    if detected(rows["steering"][2]):
+        assert detected(rows["entanglement"][2])
+
+
+def partial_transpose_min_eig(rho):
+    """Smallest eigenvalue of rho with Bob's qubit transposed. For two
+    qubits a negative one is necessary and sufficient for entanglement
+    (Peres-Horodecki)."""
+    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return np.linalg.eigvalsh(pt)[0]
+
+
+unit_interval = st.floats(0.0, 1.0)
+any_state = st.one_of(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: sk.random_density_matrix(np.random.default_rng(seed))),
+    unit_interval.map(sk.werner),
+    st.tuples(st.floats(0.0, np.pi), unit_interval).map(
+        lambda args: sk.noisy_schmidt(*args)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_state)
+def test_detection_implies_negative_partial_transpose(state):
+    rows = rows_for(state)
+    if detected(rows["entanglement"][2]) or detected(rows["steering"][2]):
+        assert partial_transpose_min_eig(state.matrix) < 0.0
 
 
 def test_local_rotation_invariance():
@@ -133,18 +157,19 @@ def test_local_rotation_invariance():
     for _ in range(20):
         state = sk.random_density_matrix(rng)
         rotated = locally_rotated(state, haar_unitary2(rng), haar_unitary2(rng))
-        originals = verdicts_for(state)
-        transformed = verdicts_for(rotated)
-        for a, b in zip(originals, transformed):
-            assert a.detected == b.detected
-            assert a.boundary == b.boundary
-            assert a.lhs == pytest.approx(b.lhs, abs=1e-10)
-            assert a.bound == pytest.approx(b.bound, abs=1e-10)
+        originals = rows_for(state)
+        transformed = rows_for(rotated)
+        for name, (lhs, bound, margin) in originals.items():
+            lhs_r, bound_r, margin_r = transformed[name]
+            assert detected(margin) == detected(margin_r)
+            assert boundary(margin) == boundary(margin_r)
+            assert lhs == pytest.approx(lhs_r, abs=1e-10)
+            assert bound == pytest.approx(bound_r, abs=1e-10)
 
 
 def test_detection_interval_along_werner():
     flags = [
-        by_name(verdicts_for(sk.werner(v)))["steering"].detected
+        detected(rows_for(sk.werner(v))["steering"][2])
         for v in np.linspace(0, 1, 21)
     ]
     first = flags.index(True)
@@ -183,17 +208,3 @@ def test_noisy_schmidt_shallow_angle_never_detects():
         sk.critical_noise(
             sk.noisy_schmidt_family(np.pi / 8), sk.Criterion.GEOMETRIC_STEERING
         )
-
-
-def test_non_monotone_family_rejected():
-    bump = sk.NoiseFamily(
-        "bump", "detects only in a middle band",
-        lambda v: sk.werner(4.0 * v * (1.0 - v)),
-    )
-    with pytest.raises(sk.NonMonotone):
-        sk.critical_noise(bump, sk.Criterion.GEOMETRIC_STEERING)
-
-
-def test_always_detecting_family_returns_zero():
-    constant = sk.NoiseFamily("pinned", "always the singlet", lambda v: sk.werner(1.0))
-    assert sk.critical_noise(constant, sk.Criterion.GEOMETRIC_STEERING) == 0.0

@@ -5,6 +5,7 @@ import pytest
 
 import steerkit as sk
 from helpers import SINGLET_PROJECTOR, criteria_for_state
+from steerkit.criteria import boundary, detected
 
 
 def test_werner_extremes():
@@ -85,53 +86,61 @@ def test_family_from_name():
         sk.family_from_name("noisy-schmidt")
     with pytest.raises(sk.ParameterOutOfRange):
         sk.family_from_name("ghz")
+    with pytest.raises(sk.ParameterOutOfRange):
+        sk.family_from_name("werner", alpha=1.0)
 
 
 def test_sweep_grid_and_order():
-    records = sk.sweep(sk.werner_family(), np.linspace(0.0, 1.0, 11))
-    assert len(records) == 11
-    assert [r.parameters["v"] for r in records] == pytest.approx(
-        list(np.linspace(0, 1, 11))
-    )
-    detected = [
-        r.parameters["v"]
-        for r in records
-        if {v.criterion: v for v in r.verdicts}[
-            sk.Criterion.GEOMETRIC_STEERING
-        ].detected
-    ]
-    assert detected == pytest.approx([0.6, 0.7, 0.8, 0.9, 1.0])
+    result = sk.sweep(sk.werner_family(), np.linspace(0.0, 1.0, 11))
+    assert len(result) == 11
+    assert list(result.v) == pytest.approx(list(np.linspace(0, 1, 11)))
+    margin = result.rows[sk.Criterion.GEOMETRIC_STEERING][2]
+    assert list(result.v[detected(margin)]) == pytest.approx(
+        [0.6, 0.7, 0.8, 0.9, 1.0])
 
 
 def test_sweep_empty_grid():
-    assert sk.sweep(sk.werner_family(), []) == []
+    result = sk.sweep(sk.werner_family(), [])
+    assert len(result) == 0
+    assert result.sigma.shape == (0, 3)
+    assert all(len(a) == 0 for row in result.rows.values() for a in row)
+
+
+def same_columns(a, b):
+    return (np.array_equal(a.v, b.v) and np.array_equal(a.sigma, b.sigma)
+            and np.array_equal(a.norm_sq, b.norm_sq)
+            and all(np.array_equal(x, y) for c in a.rows
+                    for x, y in zip(a.rows[c], b.rows[c])))
 
 
 def test_sweep_takes_any_iterable_grid():
     grid = [0.9, 0.1, 0.5]
     expected = sk.sweep(sk.werner_family(), grid)
-    assert [r.parameters["v"] for r in expected] == [0.1, 0.5, 0.9]
-    assert sk.sweep(sk.werner_family(), (v for v in grid)) == expected
-    assert sk.sweep(sk.werner_family(), np.array(grid)) == expected
+    assert expected.v.tolist() == [0.1, 0.5, 0.9]
+    assert same_columns(sk.sweep(sk.werner_family(), (v for v in grid)), expected)
+    assert same_columns(sk.sweep(sk.werner_family(), np.array(grid)), expected)
 
 
 def test_sweep_records_recomputable():
     family = sk.noisy_schmidt_family(1.0)
-    for record in sk.sweep(family, [0.3, 0.8]):
-        block = record.parameters["v"] * family.unit_block
+    result = sk.sweep(family, [0.3, 0.8])
+    for k, v in enumerate(result.v):
+        block = v * family.unit_block
         schmidt = sk.svd3(block)
         norm_sq = float(np.sum(block * block))
-        assert record.t1 == schmidt.t1
-        assert record.norm_sq == norm_sq
-        assert record.verdicts == sk.all_criteria(schmidt, norm_sq)
+        assert result.sigma[k, 0] == schmidt.t1
+        assert result.norm_sq[k] == norm_sq
+        rows = sk.ladder(schmidt.t1, schmidt.t2, norm_sq)
+        for c, row in rows.items():
+            assert tuple(a[k] for a in result.rows[c]) == row
 
 
-def per_state_records(family, v_grid):
-    """Each grid point the long way: state, Pauli table, SVD, verdicts."""
+def per_state_rows(family, v_grid):
+    """Each grid point the long way: state, Pauli table, SVD, ladder."""
     rows = []
     for v in v_grid:
-        _, schmidt, norm_sq, verdicts = criteria_for_state(family.state_at(float(v)))
-        rows.append((schmidt.t1, norm_sq, verdicts))
+        _, schmidt, norm_sq, ladder = criteria_for_state(family.state_at(float(v)))
+        rows.append((schmidt.t1, norm_sq, ladder))
     return rows
 
 
@@ -141,28 +150,17 @@ def per_state_records(family, v_grid):
 ], ids=lambda f: f"{f.name}{f.shape_parameters.get('alpha', '')}")
 def test_scaled_sweep_matches_per_state_path(family):
     v_grid = np.linspace(0.0, 1.0, 301)
-    records = sk.sweep(family, v_grid)
-    reference = per_state_records(family, v_grid)
-    for record, (t1, norm_sq, verdicts) in zip(records, reference):
-        assert abs(record.t1 - t1) <= 1e-15
-        assert abs(record.norm_sq - norm_sq) <= 1e-15
-        for got, want in zip(record.verdicts, verdicts):
-            assert got.criterion is want.criterion
-            assert (got.detected, got.boundary) == (want.detected, want.boundary)
-            for name in ("lhs", "bound", "margin"):
-                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15
-
-
-def test_undeclared_family_sweeps_per_state():
-    family = sk.noisy_schmidt_family(1.1)
-    undeclared = sk.NoiseFamily("plain", "state_at only", family.state_at)
-    assert undeclared.unit_block is None
-    v_grid = np.linspace(0.0, 1.0, 41)
-    for record, (t1, norm_sq, verdicts) in zip(
-            sk.sweep(undeclared, v_grid), per_state_records(family, v_grid)):
-        assert abs(record.t1 - t1) <= 1e-15
-        assert record.norm_sq == norm_sq
-        assert [v.detected for v in record.verdicts] == [v.detected for v in verdicts]
+    result = sk.sweep(family, v_grid)
+    reference = per_state_rows(family, v_grid)
+    for k, (t1, norm_sq, ladder) in enumerate(reference):
+        assert abs(result.sigma[k, 0] - t1) <= 1e-15
+        assert abs(result.norm_sq[k] - norm_sq) <= 1e-15
+        for c, want in ladder.items():
+            got = tuple(a[k] for a in result.rows[c])
+            assert (detected(got[2]), boundary(got[2])) == (
+                detected(want[2]), boundary(want[2]))
+            for x, y in zip(got, want):
+                assert abs(x - y) <= 1e-15
 
 
 def test_sweep_rejects_noise_outside_unit_interval():
@@ -179,12 +177,7 @@ def test_noisy_schmidt_family_checks_alpha_when_built():
 
 def test_declared_pure_state_is_validated():
     with pytest.raises(sk.StateValidationError):
-        sk.NoiseFamily("unnormalised", "", sk.werner, pure_state=np.ones(4))
-
-
-def undeclared(family):
-    """The same family reached only through state_at, so it is bisected."""
-    return sk.NoiseFamily(family.name, "bisected", family.state_at)
+        sk.NoiseFamily("unnormalised", "", sk.werner, np.ones(4))
 
 
 def threshold_or_none(family, criterion):
@@ -195,21 +188,29 @@ def threshold_or_none(family, criterion):
 
 
 def test_closed_form_thresholds_match_bisection():
+    # Independent reference: the thresholds written out with s = sin(alpha),
+    # entanglement 1/(1+2s^2), steering 3/(2(1+2s^2)), Bell 9/(4(1+2s^2))
+    # and CHSH 1/sqrt(1+s^2); Werner is the case s = 1.
+    sines = [1.0] + [float(np.sin(a)) for a in np.linspace(0.0, np.pi, 61)]
     families = [sk.werner_family()] + [
         sk.noisy_schmidt_family(float(a)) for a in np.linspace(0.0, np.pi, 61)
     ]
     undetected = 0
-    for family in families:
-        at_one = criteria_for_state(family.state_at(1.0))[3]
-        for criterion, verdict in zip(sk.Criterion, at_one):
-            closed = threshold_or_none(family, criterion)
-            bisected = threshold_or_none(undeclared(family), criterion)
-            assert (closed is None) == (bisected is None), (family, criterion)
-            assert (closed is None) == (not verdict.detected)
-            if closed is None:
+    for s, family in zip(sines, families):
+        q = 1.0 + 2.0 * s * s
+        expected = {
+            sk.Criterion.GEOMETRIC_ENTANGLEMENT: 1.0 / q,
+            sk.Criterion.GEOMETRIC_STEERING: 3.0 / (2.0 * q),
+            sk.Criterion.GEOMETRIC_BELL: 9.0 / (4.0 * q),
+            sk.Criterion.CHSH_HORODECKI: 1.0 / np.sqrt(1.0 + s * s),
+        }
+        for criterion, want in expected.items():
+            found = threshold_or_none(family, criterion)
+            assert (found is None) == (want >= 1.0 - 1e-9), (family, criterion)
+            if found is None:
                 undetected += 1
             else:
-                assert abs(closed - bisected) <= sk.criteria.BISECTION_TOL
+                assert abs(found - want) <= 1e-11
     assert 0 < undetected < 4 * len(families)
 
 
@@ -223,8 +224,8 @@ def test_closed_form_survives_state_at_swap():
     assert np.array_equal(swapped.unit_block, family.unit_block)
     for c in sk.Criterion:
         assert sk.critical_noise(swapped, c) == sk.critical_noise(family, c)
-    assert [r.t1 for r in sk.sweep(swapped, [0.2, 0.9])] == [
-        r.t1 for r in sk.sweep(family, [0.2, 0.9])]
+    assert np.array_equal(sk.sweep(swapped, [0.2, 0.9]).sigma,
+                          sk.sweep(family, [0.2, 0.9]).sigma)
 
 
 def test_threshold_curve_matches_closed_form():
@@ -251,11 +252,9 @@ def test_boundary_angle_is_inconclusive_everywhere():
     # at alpha = pi/6 the analytic threshold sits exactly at v = 1, and the
     # strict comparison reports the endpoint as boundary, not detection
     family = sk.noisy_schmidt_family(np.pi / 6)
-    tensor = sk.pauli_expansion(family.state_at(1.0))
-    verdict = sk.steering_criterion(
-        sk.svd3(tensor.block), sk.tensor_norm_sq(tensor)
-    )
-    assert verdict.boundary
-    assert not verdict.detected
+    margin = criteria_for_state(family.state_at(1.0))[3][
+        sk.Criterion.GEOMETRIC_STEERING][2]
+    assert boundary(margin)
+    assert not detected(margin)
     with pytest.raises(sk.NoDetection):
         sk.critical_noise(family, sk.Criterion.GEOMETRIC_STEERING)

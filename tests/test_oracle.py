@@ -543,11 +543,12 @@ def test_steering_detection_equivalence():
     for _ in range(100):
         tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
         schmidt = sk.svd3(tensor.block)
-        verdict = sk.steering_criterion(schmidt, sk.tensor_norm_sq(tensor))
+        rows = sk.ladder(schmidt.t1, schmidt.t2, sk.tensor_norm_sq(tensor))
+        detected = sk.criteria.detected(rows[sk.Criterion.GEOMETRIC_STEERING][2])
         oracle_side = sk.norm_eq_analytic(tensor) > sk.ns_bound(schmidt) + (
             8.0 * np.pi**2 / 3.0
         ) * tie
-        assert verdict.detected == oracle_side
+        assert detected == oracle_side
 
 
 def test_monte_carlo_overlap_consistent():

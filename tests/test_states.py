@@ -143,12 +143,12 @@ def test_tensor_entries_bounded(seed):
 
 def test_correlation_werner_zz():
     tensor = sk.pauli_expansion(sk.werner(0.8))
-    assert sk.correlation_function(tensor, Z, Z) == pytest.approx(-0.8, abs=1e-12)
+    assert sk.correlation_fn(tensor)(Z, Z) == pytest.approx(-0.8, abs=1e-12)
 
 
 def test_correlation_singlet_xx():
     tensor = sk.pauli_expansion(sk.werner(1.0))
-    assert sk.correlation_function(tensor, X, X) == pytest.approx(-1.0, abs=1e-12)
+    assert sk.correlation_fn(tensor)(X, X) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_correlation_maximally_mixed_vanishes():
@@ -157,13 +157,7 @@ def test_correlation_maximally_mixed_vanishes():
     for _ in range(5):
         m = sk.random_unit_vector(rng)
         n = sk.random_unit_vector(rng)
-        assert sk.correlation_function(tensor, m, n) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_correlation_rejects_non_unit_setting():
-    tensor = sk.pauli_expansion(sk.werner(0.5))
-    with pytest.raises(ValueError):
-        sk.correlation_function(tensor, [0.0, 0.0, 2.0], Z)
+        assert sk.correlation_fn(tensor)(m, n) == pytest.approx(0.0, abs=1e-14)
 
 
 @settings(max_examples=50, deadline=None)
@@ -173,7 +167,7 @@ def test_correlation_bounded_for_valid_states(seed):
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
     m = sk.random_unit_vector(rng)
     n = sk.random_unit_vector(rng)
-    assert abs(sk.correlation_function(tensor, m, n)) <= 1.0 + 1e-10
+    assert abs(sk.correlation_fn(tensor)(m, n)) <= 1.0 + 1e-10
 
 
 # --- joint probabilities -----------------------------------------------------
@@ -199,6 +193,11 @@ def test_joint_probability_rejects_bad_outcome():
         sk.joint_probability(sk.werner(0.5), Z, Z, 0, 1)
 
 
+def test_joint_probability_rejects_non_unit_setting():
+    with pytest.raises(ValueError):
+        sk.joint_probability(sk.werner(0.5), [0.0, 0.0, 2.0], Z, 1, 1)
+
+
 def test_probability_completeness_and_correlation():
     rng = np.random.default_rng(21)
     for _ in range(50):
@@ -215,7 +214,7 @@ def test_probability_completeness_and_correlation():
         correlation = sum(r1 * r2 * p for (r1, r2), p in probs.items())
         tensor = sk.pauli_expansion(state)
         assert correlation == pytest.approx(
-            sk.correlation_function(tensor, a, b), abs=1e-12
+            sk.correlation_fn(tensor)(a, b), abs=1e-12
         )
 
 
