@@ -65,30 +65,34 @@ def parse_state_document(data: dict) -> tuple[DensityMatrix4, str]:
     if not isinstance(data, dict) or "matrix" not in data:
         raise DocumentError("document must be an object with a 'matrix' field")
     raw = data["matrix"]
+    values = []
     try:
-        entries = np.array([[_cell_value(cell) for cell in row] for row in raw])
-    except (TypeError, ValueError) as exc:
+        for row in raw:
+            for cell in row:
+                real, imag = cell if isinstance(cell, list) and len(cell) == 2 else (None, None)
+                # JSON true/false load as bool, a subclass of int, so reject them by type.
+                if (not isinstance(real, (int, float)) or not isinstance(imag, (int, float))
+                        or isinstance(real, bool) or isinstance(imag, bool)):
+                    raise ValueError(f"cell {cell!r} is not two numbers")
+                values += cell
+        # Consecutive [re, im] floats are the layout of complex128.
+        entries = np.array(values, dtype=float).view(complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"matrix must be 4x4 of [re, im] pairs: {exc}") from exc
-    if entries.shape != (4, 4):
-        raise DocumentError(f"matrix must be 4x4, got shape {entries.shape}")
+    if len(raw) != 4 or any(len(row) != 4 for row in raw):
+        raise DocumentError(
+            f"matrix must be 4x4, got rows of lengths {[len(row) for row in raw]}")
     label = data.get("label", "state document")
     if not isinstance(label, str):
         raise DocumentError("label must be a string")
-    return validate_state(entries), label
-
-
-def _cell_value(cell) -> complex:
-    # JSON true/false load as bool, a subclass of int, so reject them by type.
-    if not (isinstance(cell, list) and len(cell) == 2 and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)):
-        raise ValueError(f"cell {cell!r} is not two numbers")
-    return complex(cell[0], cell[1])
+    return validate_state(entries.reshape(4, 4)), label
 
 
 def _load_state(args) -> tuple[DensityMatrix4, str]:
     if args.state is not None:
-        if args.family is not None:
-            raise DocumentError("give either a document path or --family, not both")
+        given = [f"--{k}" for k in ("family", "v", "alpha") if getattr(args, k) is not None]
+        if given:
+            raise DocumentError(f"a document path takes no {', '.join(given)}")
         with open(args.state, "r", encoding="utf-8") as fp:
             return parse_state_document(json.load(fp))
     if args.family is None:
@@ -113,6 +117,7 @@ def _status(verdict: dict) -> str:
 def analysis_report(state: DensityMatrix4, label: str) -> dict:
     tensor = pauli_expansion(state)
     schmidt = svd3(tensor.block)
+    sigma = schmidt.sigma.tolist()
     norm_sq = tensor_norm_sq(tensor)
     verdicts = [
         {
@@ -124,16 +129,12 @@ def analysis_report(state: DensityMatrix4, label: str) -> dict:
             "boundary": boundary(margin),
         }
         for criterion, (lhs, bound, margin) in ladder(
-            schmidt.t1, schmidt.t2, norm_sq).items()
+            sigma[0], sigma[1], norm_sq).items()
     ]
     return {
         "label": label,
-        "tensor": [[float(x) for x in row] for row in tensor.full],
-        "schmidt": {
-            "u": [[float(x) for x in row] for row in schmidt.u],
-            "sigma": [float(x) for x in schmidt.sigma],
-            "v": [[float(x) for x in row] for row in schmidt.v],
-        },
+        "tensor": tensor.full.tolist(),
+        "schmidt": {"u": schmidt.u.tolist(), "sigma": sigma, "v": schmidt.v.tolist()},
         "norm_sq": norm_sq,
         "verdicts": verdicts,
         "summary": "; ".join(f"{v['criterion']} {_status(v)}" for v in verdicts),

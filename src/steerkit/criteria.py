@@ -84,20 +84,12 @@ def boundary(margin):
 
 def block_norm_sq(blocks) -> np.ndarray:
     """Squared Frobenius norms of a stack of 3x3 blocks (..., 3, 3)."""
-    return np.sum(blocks * blocks, axis=(-2, -1))
+    return (blocks * blocks).sum(axis=(-2, -1))
 
 
 def tensor_norm_sq(tensor) -> float:
     """Squared Frobenius norm of the 3x3 correlation block."""
     return float(block_norm_sq(tensor.block))
-
-
-def stack_ladder(blocks) -> tuple[np.ndarray, np.ndarray, dict]:
-    """sigma (N, 3), norm_sq (N,) and the ladder of a stack of correlation
-    blocks (N, 3, 3), from one SVD call."""
-    sigma = np.linalg.svd(blocks, compute_uv=False)
-    norm_sq = block_norm_sq(blocks)
-    return sigma, norm_sq, ladder(sigma[:, 0], sigma[:, 1], norm_sq)
 
 
 def critical_noise(family: "NoiseFamily", criterion: Criterion) -> float:
@@ -110,8 +102,9 @@ def critical_noise(family: "NoiseFamily", criterion: Criterion) -> float:
     the interval above its root at TIE_TOL, and NoDetection means exactly
     that v = 1 does not detect.
     """
-    _, _, rows = stack_ladder(family.unit_block[None])
-    lhs, bound, margin = (float(a[0]) for a in rows[criterion])
+    block = family.unit_block
+    t1, t2, _ = np.linalg.svd(block, compute_uv=False).tolist()
+    lhs, bound, margin = ladder(t1, t2, float(block_norm_sq(block)))[criterion]
     if not detected(margin):
         raise NoDetection(f"{criterion.value} never detects on [0, 1]")
     if criterion is Criterion.CHSH_HORODECKI:

@@ -9,7 +9,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .criteria import stack_ladder
+from .criteria import block_norm_sq, ladder
 from .states import DensityMatrix4, pauli_expansion, validate_state
 
 
@@ -142,4 +142,7 @@ def sweep(family: NoiseFamily, v_grid) -> Sweep:
     outside = v[~((0.0 <= v) & (v <= 1.0))]
     if outside.size:
         _check_noise(float(outside[0]))
-    return Sweep(v, *stack_ladder(v[:, None, None] * family.unit_block))
+    blocks = v[:, None, None] * family.unit_block
+    sigma = np.linalg.svd(blocks, compute_uv=False)
+    norm_sq = block_norm_sq(blocks)
+    return Sweep(v, sigma, norm_sq, ladder(sigma[:, 0], sigma[:, 1], norm_sq))

@@ -356,11 +356,10 @@ def chsh_ns_max(step_deg: float = 15.0) -> float:
     dirs = _direction_grid(step_deg)
     dots = dirs @ dirs.T
     best = -np.inf
-    chunk = max(1, int(2e6 // (len(dirs) ** 2)) or 1)
+    # Blocks of rows of about 2e5 values: each temporary stays near 1.6 MB.
+    chunk = max(1, 200_000 // len(dirs) ** 2)
     for start in range(0, len(dirs), chunk):
-        cols = dots[:, start:start + chunk]
-        values = np.abs(cols[:, None, :] + cols[None, :, :]) + np.abs(
-            cols[:, None, :] - cols[None, :, :]
-        )
+        rows = dots[start:start + chunk, None, :]
+        values = np.abs(rows + dots) + np.abs(rows - dots)
         best = max(best, float(values.max()))
     return best

@@ -5,6 +5,10 @@ Alice's qubit). The Pauli expansion of a state is the real 4x4 coefficient
 table T[mu, nu] = Tr[rho (sigma_mu x sigma_nu)] with sigma_0 the identity;
 its 3x3 lower-right block is the correlation tensor that drives every
 criterion in this package.
+
+Both directions are one product with the (16, 16) matrix PAULI_PRODUCTS,
+whose row 4·mu + nu is sigma_mu x sigma_nu flattened: the traces are
+PAULI_PRODUCTS @ rho.T.ravel(), the state T.ravel() @ PAULI_PRODUCTS / 4.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-# sigma_mu x sigma_nu for all 16 index pairs, indexed [mu, nu, row, col].
-PAULI_PRODUCTS = np.array([[np.kron(a, b) for b in PAULI] for a in PAULI])
+PAULI_PRODUCTS = np.array([np.kron(a, b).ravel() for a in PAULI for b in PAULI])
 PAULI_PRODUCTS.setflags(write=False)
 
 
@@ -98,14 +101,14 @@ class DensityMatrix4:
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         # NaN compares false against every tolerance below, so check first.
-        non_finite = int(np.count_nonzero(~np.isfinite(m)))
+        non_finite = m.size - np.count_nonzero(np.isfinite(m))
         if non_finite:
             raise StateValidationError((Violation("NonFinite", non_finite),))
         violations = []
-        herm_defect = float(np.max(np.abs(m - m.conj().T)))
+        herm_defect = float(np.abs(m - m.conj().T).max())
         if herm_defect > HERMITICITY_TOL:
             violations.append(Violation("NotHermitian", herm_defect))
-        trace_defect = float(abs(np.trace(m) - 1.0))
+        trace_defect = abs(complex(m.trace()) - 1.0)
         if trace_defect > TRACE_TOL:
             violations.append(Violation("TraceNotOne", trace_defect))
         min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
@@ -123,7 +126,7 @@ def validate_state(entries) -> DensityMatrix4:
     NotHermitian, TraceNotOne or NotPositive; the exception lists every
     violated invariant and its magnitude.
     """
-    return DensityMatrix4(np.asarray(entries, dtype=complex))
+    return DensityMatrix4(entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +144,11 @@ class CorrelationTensor:
         f = np.array(self.full, dtype=float)
         if f.shape != (4, 4):
             raise ValueError(f"expected a 4x4 table, got shape {f.shape}")
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise ValueError("table entries must be finite")
         if f[0, 0] != 1.0:
             raise ValueError(f"T[0,0] must be exactly 1, got {f[0, 0]!r}")
-        overshoot = float(np.max(np.abs(f)) - 1.0)
+        overshoot = float(np.abs(f).max()) - 1.0
         if overshoot > 1e-10:
             raise ValueError(f"component magnitude exceeds 1 by {overshoot:.3e}")
         object.__setattr__(self, "full", _readonly(f))
@@ -182,13 +185,13 @@ def pauli_expansion(state: DensityMatrix4) -> CorrelationTensor:
     part above 1e-8 signals a corrupted input and raises
     NonRealComponent.
     """
-    traces = np.tensordot(PAULI_PRODUCTS, state.matrix, axes=([2, 3], [1, 0]))
-    imag_max = float(np.max(np.abs(traces.imag)))
+    traces = PAULI_PRODUCTS @ state.matrix.T.ravel()
+    imag_max = float(np.abs(traces.imag).max())
     if imag_max > 1e-8:
         raise NonRealComponent(
             f"Pauli coefficient has imaginary part {imag_max:.3e}"
         )
-    full = traces.real.copy()
+    full = traces.real.reshape(4, 4)
     # Unit trace pins T[0,0]; snap the rounded trace to its exact value.
     if abs(full[0, 0] - 1.0) > TRACE_TOL:
         raise NonRealComponent(
@@ -200,7 +203,7 @@ def pauli_expansion(state: DensityMatrix4) -> CorrelationTensor:
 
 def state_from_tensor(tensor: CorrelationTensor) -> DensityMatrix4:
     """Rebuild the density matrix (1/4) sum T[mu,nu] sigma_mu x sigma_nu."""
-    rho = np.tensordot(tensor.full, PAULI_PRODUCTS, axes=([0, 1], [0, 1])) / 4.0
+    rho = (tensor.full.ravel() @ PAULI_PRODUCTS).reshape(4, 4) / 4.0
     return validate_state(rho)
 
 

@@ -16,24 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_COLUMNS = np.arange(3)
+
 
 @dataclass(frozen=True, eq=False)
 class SchmidtForm:
     """SVD triple with the convention  input = u.T @ diag(sigma) @ v.
 
     Rows of ``u`` are the left singular vectors, rows of ``v`` the right
-    ones; ``sigma`` is descending and non-negative.
+    ones; ``sigma`` is descending and non-negative. svd3 builds it from
+    the arrays LAPACK returned, made read-only, without copying them.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-    def __post_init__(self):
-        for name in ("u", "sigma", "v"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
 
     @property
     def t1(self) -> float:
@@ -53,14 +50,17 @@ class SchmidtForm:
 
 def svd3(block) -> SchmidtForm:
     """Decompose a real 3x3 matrix as u.T @ diag(sigma) @ v."""
-    g = np.array(block, dtype=float)
+    g = np.asarray(block, dtype=float)
     if g.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("matrix entries must be finite")
 
     left, sigma, v = np.linalg.svd(g)
-    u = left.T
-    lead = np.argmax(np.abs(u), axis=1)
-    signs = np.where(u[np.arange(3), lead] < 0.0, -1.0, 1.0)[:, None]
-    return SchmidtForm(u=signs * u, sigma=sigma, v=signs * v)
+    # The module's sign convention, on the columns of left (the left vectors).
+    signs = np.copysign(1.0, left[np.abs(left).argmax(axis=0), _COLUMNS])
+    left *= signs
+    v *= signs[:, None]
+    for a in (left, sigma, v):
+        a.setflags(write=False)
+    return SchmidtForm(u=left.T, sigma=sigma, v=v)

@@ -96,9 +96,10 @@ def test_analyze_wrong_shape_document(tmp_path, capsys):
     assert "4x4" in err
 
 
-@pytest.mark.parametrize("cell", [[1.0, 0.0, 7.0], [True, False]])
+@pytest.mark.parametrize("cell", [[1.0, 0.0, 7.0], [True, False], [10 ** 400, 0]])
 def test_analyze_malformed_cell(tmp_path, capsys, cell):
-    # Read as 1+0j, either cell would make the document a valid |00><00|.
+    # Read as 1+0j, either of the first two cells would make the document a
+    # valid |00><00|. The third is valid JSON, but its integer has no float value.
     matrix = [[[0.0, 0.0]] * 4 for _ in range(4)]
     matrix[0][0] = cell
     path = tmp_path / "cell.json"
@@ -158,6 +159,17 @@ def test_analyze_rejects_both_inputs(tmp_path, capsys):
         capsys, "analyze", str(path), "--family", "werner", "--v", "0.5"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("option,value", [("--v", "0.3"), ("--alpha", "2")])
+def test_analyze_document_rejects_family_options(tmp_path, capsys, option, value):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(cli.state_to_document(sk.werner(0.5))))
+    code, out, err = run(capsys, "analyze", str(path), option, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert option in err
 
 
 # --- sweep ---------------------------------------------------------------------
