@@ -24,15 +24,16 @@ model_state_overlap are their one-model cases.
 
 Integration strategy: the inner integral over n is a degree-2 spherical
 polynomial and reduces exactly to (4 pi / 3) * I(m) (m . T lambda). A
-response that declares ``axis`` and ``breakpoints`` is axial, I(m) =
-f(m . axis), and its m-integral against m . c is (axis . c) times the 1-D
-moment 2 pi int f(z) z dz, done by Gauss-Legendre on panels split at the
-breakpoints, so the built-in response families integrate exactly; the
-axial components of every model in a stack share one panel pass. A
-declared axis of None marks a response that does not depend on m and
-contributes exactly 0. Black-box responses are integrated on the rule
-sphere_grid(48), also inside verify_ns_inequality; at discontinuities use
-Monte Carlo instead.
+response that declares ``axis`` and ``breakpoints`` is axial and provides
+its ``profile``, I(m) = profile(m . axis); its m-integral against m . c
+is (axis . c) times 2 pi int profile(z) z dz, done by Gauss-Legendre on
+panels split at the breakpoints, so the built-in response families
+integrate exactly. The panels of all axial components of a stack are laid
+end to end and each profile is evaluated on its own nodes in z; no point
+on the sphere is built. A declared axis of None marks a response that does
+not depend on m and contributes exactly 0. Black-box responses are
+integrated on the rule sphere_grid(48), also inside verify_ns_inequality;
+at discontinuities use Monte Carlo instead.
 """
 
 from __future__ import annotations
@@ -40,12 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .criteria import tensor_norm_sq
-from .sphere import integrate, perpendicular, sphere_grid, uniform_sphere
+from .sphere import integrate, sphere_grid, uniform_sphere
 from .states import correlation_fn, unit_vector
 from .svd3 import SchmidtForm, svd3
 
@@ -57,6 +59,7 @@ MAX_COMPONENTS = 8
 _NS_COEFF = 8.0 * math.pi ** 2 / 3.0
 _LHV_COEFF = 4.0 * math.pi ** 2
 _NORM_COEFF = 16.0 * math.pi ** 2 / 9.0
+_MC_BLOCK = 2 ** 16
 
 
 class DegenerateTensor(ValueError):
@@ -69,6 +72,7 @@ class SignResponse:
 
     axis: np.ndarray
     breakpoints = (0.0,)
+    profile = staticmethod(np.sign)
 
     def __post_init__(self):
         object.__setattr__(self, "axis", unit_vector(self.axis))
@@ -82,6 +86,7 @@ class ClippedLinearResponse:
     """I(m) = clip(m . vector, -1, 1); kinks appear once |vector| > 1."""
 
     vector: np.ndarray
+    norm: float = field(init=False)
     axis: np.ndarray | None = field(init=False)
     breakpoints: tuple[float, ...] = field(init=False)
 
@@ -92,12 +97,16 @@ class ClippedLinearResponse:
             raise ValueError("vector must be a 3-vector with norm <= 2")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
+        object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "axis", v / norm if norm > 0.0 else None)
         bps = (-1.0 / norm, 1.0 / norm) if norm > 1.0 else ()
         object.__setattr__(self, "breakpoints", bps)
 
     def __call__(self, m):
         return np.minimum(np.maximum(np.asarray(m) @ self.vector, -1.0), 1.0)
+
+    def profile(self, z):
+        return np.minimum(np.maximum(self.norm * z, -1.0), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,20 +248,18 @@ def _axial_terms(block: np.ndarray, comps: list[ModelComponent]) -> np.ndarray:
     """p_k (a_k . T lambda_k) 2 pi int f_k(z) z dz for axial components."""
     nodes, node_weights = _legendre6()
     edges = [(-1.0, *sorted(c.response.breakpoints), 1.0) for c in comps]
-    width = max(map(len, edges))
-    # Zero-width padding panels give every component the same node count.
-    edges = np.array([e + (1.0,) * (width - len(e)) for e in edges])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    lo = np.array([x for e in edges for x in e[:-1]])
+    half = 0.5 * (np.array([x for e in edges for x in e[1:]]) - lo)
     if not half.min() >= 0.0:
         raise ValueError("breakpoints must lie inside [-1, 1]")
-    mid = edges[:, :-1] + half
-    z = (mid[..., None] + half[..., None] * nodes).reshape(len(comps), -1)
-    w = (half[..., None] * node_weights).reshape(len(comps), -1)
+    # One row of nodes per panel; component k owns rows starts[k]:starts[k+1].
+    z = (lo + half)[:, None] + half[:, None] * nodes
+    starts = [0, *accumulate(len(e) - 1 for e in edges)]
+    f = np.concatenate([c.response.profile(z[a:b])
+                        for c, a, b in zip(comps, starts, starts[1:])])
+    panel_sums = (half[:, None] * node_weights * f * z).sum(axis=1)
+    moments = 2.0 * math.pi * np.add.reduceat(panel_sums, starts[:-1])
     axes = np.array([c.response.axis for c in comps])
-    points = z[..., None] * axes[:, None, :]
-    points += np.sqrt(1.0 - z * z)[..., None] * perpendicular(axes)[:, None, :]
-    f = np.array([c.response(p) for c, p in zip(comps, points)], dtype=float)
-    moments = 2.0 * math.pi * (w * f * z).sum(axis=1)
     hidden = np.array([c.hidden_state for c in comps])
     weights = np.array([c.weight for c in comps])
     return weights * moments * ((axes @ block) * hidden).sum(axis=1)
@@ -265,14 +272,29 @@ def _legendre6() -> tuple[np.ndarray, np.ndarray]:
 
 def model_state_overlap_mc(tensor, model: HiddenStateModel, samples: int,
                            rng: np.random.Generator) -> tuple[float, float]:
-    """(E_Q, E_NS) by Monte Carlo; returns (estimate, standard error)."""
-    m = uniform_sphere(samples, rng)
-    n = uniform_sphere(samples, rng)
-    values = correlation_fn(tensor)(m, n) * ns_correlation_fn(model)(m, n)
+    """(E_Q, E_NS) by Monte Carlo; returns (estimate, standard error).
+
+    Samples are drawn in blocks of at most 2**16, whose means and squared
+    deviations are merged as they come (Chan, Golub and LeVeque, 1983), so
+    memory stays bounded whatever the sample count.
+    """
+    if not samples >= 2:
+        raise ValueError(f"Monte Carlo needs at least 2 samples, got {samples!r}")
+    eq, ens = correlation_fn(tensor), ns_correlation_fn(model)
+    count, mean, sq_dev = 0, 0.0, 0.0
+    for start in range(0, samples, _MC_BLOCK):
+        size = min(_MC_BLOCK, samples - start)
+        m = uniform_sphere(size, rng)
+        n = uniform_sphere(size, rng)
+        values = eq(m, n) * ens(m, n)
+        block_mean = float(values.mean())
+        delta = block_mean - mean
+        count += size
+        mean += delta * size / count
+        sq_dev += float(((values - block_mean) ** 2).sum())
+        sq_dev += delta * delta * (count - size) * size / count
     scale = (4.0 * math.pi) ** 2
-    estimate = scale * float(values.mean())
-    stderr = scale * float(values.std(ddof=1)) / math.sqrt(samples)
-    return estimate, stderr
+    return scale * mean, scale * math.sqrt(sq_dev / (samples - 1) / samples)
 
 
 @dataclass(frozen=True)
@@ -353,6 +375,8 @@ def chsh_ns_max(step_deg: float = 15.0) -> float:
     no refinement can improve on it. The scan thus checks the analytic
     maximum from both sides: no grid triple exceeds it, and one reaches it.
     """
+    if not 0.0 < step_deg <= 180.0:
+        raise ValueError(f"step_deg must lie in (0, 180], got {step_deg!r}")
     dirs = _direction_grid(step_deg)
     dots = dirs @ dirs.T
     best = -np.inf

@@ -53,16 +53,6 @@ def sphere_grid(n_theta: int, breakpoints=()) -> SphereGrid:
     return _unrotated(n_theta, tuple(sorted(float(b) for b in breakpoints)))
 
 
-def perpendicular(axes: np.ndarray) -> np.ndarray:
-    """Unit vector orthogonal to each unit row of ``axes``, branch-free: x's
-    image under the rotation of z onto the row (Duff et al., JCGT 6(1), 2017)."""
-    x, y, z = axes.T
-    s = np.copysign(1.0, z)
-    t = -1.0 / (s + z)
-    sx = s * x
-    return np.array([1.0 + sx * x * t, sx * y * t, -sx]).T
-
-
 @lru_cache(maxsize=64)
 def _unrotated(n_theta: int, bps: tuple[float, ...]) -> SphereGrid:
     if n_theta < 1:

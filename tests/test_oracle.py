@@ -1,4 +1,5 @@
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,6 +123,20 @@ def test_clipped_response_geometry_down_to_zero():
     assert zero.breakpoints == ()
     model = single_component_model(Z, zero)
     assert sk.model_state_overlap(tensor_from_block(block), model) == 0.0
+
+
+@pytest.mark.parametrize("norm", [None, 0.05, 1.0, 1.0 + 1e-9, 2.0])
+def test_axial_response_is_its_profile(norm):
+    # The overlap integrates profile(z) alone, so it must be the response
+    # itself on every setting: I(m) = profile(m . axis). None is the sign.
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        axis = sk.random_unit_vector(rng)
+        response = (sk.SignResponse(axis) if norm is None
+                    else sk.ClippedLinearResponse(norm * axis))
+        m = sk.uniform_sphere(500, rng)
+        defect = np.abs(response(m) - response.profile(m @ response.axis))
+        assert defect.max() <= 1e-15
 
 
 def test_rule_cache_stays_bounded():
@@ -561,6 +576,52 @@ def test_monte_carlo_overlap_consistent():
     assert stderr < 0.1
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+def test_monte_carlo_needs_two_samples(samples):
+    tensor = sk.pauli_expansion(sk.werner(0.7))
+    model = single_component_model(Z, sk.SignResponse(Z))
+    with pytest.raises(ValueError):
+        sk.model_state_overlap_mc(tensor, model, samples, np.random.default_rng(0))
+
+
+def test_monte_carlo_memory_stays_bounded():
+    # Drawing 300,000 samples at once would hold about 25 MB of (m, n)
+    # arrays and products; blocks of 2**16 keep the peak near 8 MB.
+    rng = np.random.default_rng(19)
+    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    model = sk.random_model(rng)
+    exact = sk.model_state_overlap(tensor, model)
+    tracemalloc.start()
+    try:
+        estimate, stderr = sk.model_state_overlap_mc(tensor, model, 300_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    assert abs(estimate - exact) <= 4.0 * stderr
+
+
+def test_monte_carlo_blocks_merge_exactly():
+    # Three blocks, the last one partial: the merged mean and standard
+    # error are those of all the samples taken in one pass.
+    block = sk.oracle._MC_BLOCK
+    samples = 2 * block + 5
+    rng = np.random.default_rng(20)
+    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    model = sk.random_model(rng)
+    state = rng.bit_generator.state
+    estimate, stderr = sk.model_state_overlap_mc(tensor, model, samples, rng)
+    rng.bit_generator.state = state
+    values = []
+    for size in (block, block, 5):
+        m = sk.uniform_sphere(size, rng)
+        n = sk.uniform_sphere(size, rng)
+        values.append(sk.correlation_fn(tensor)(m, n) * sk.ns_correlation_fn(model)(m, n))
+    values = (4.0 * np.pi) ** 2 * np.concatenate(values)
+    assert estimate == pytest.approx(values.mean(), rel=1e-12, abs=1e-12)
+    assert stderr == pytest.approx(values.std(ddof=1) / np.sqrt(samples), rel=1e-12)
+
+
 # --- the two-setting comparison ---------------------------------------------------
 
 
@@ -572,3 +633,9 @@ def test_chsh_grid_alone_reaches_two():
 def test_chsh_ns_max_value():
     value = sk.chsh_ns_max(step_deg=15.0)
     assert 2.0 - 1e-6 <= value <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("step_deg", [0.0, -15.0, np.nan, np.inf, 180.5])
+def test_chsh_ns_max_rejects_bad_step(step_deg):
+    with pytest.raises(ValueError):
+        sk.chsh_ns_max(step_deg=step_deg)

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import steerkit as sk
 from helpers import monomial_sphere_integral
@@ -107,35 +105,6 @@ def test_signed_cos_vanishes_by_symmetry():
 def test_projection_norm_constant():
     grid = sk.sphere_grid(8, breakpoints=(0.0,))
     assert abs(sk.projection_norm_constant(grid) - math.sqrt(3.0 * np.pi)) <= 1e-12
-
-
-def assert_rotation_onto(r, axis):
-    assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-15
-    assert np.max(np.abs(r @ np.array([0.0, 0.0, 1.0]) - axis)) <= 1e-15
-    assert abs(np.linalg.det(r) - 1.0) <= 1e-15
-
-
-def frame_onto(axis):
-    # The rotation of z onto ``axis`` that takes x to the closed-form perpendicular.
-    e = sk.sphere.perpendicular(axis[None, :])[0]
-    return np.column_stack([e, np.cross(axis, e), axis])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_rotation_closed_form_to_rounding(seed):
-    axis = sk.random_unit_vector(np.random.default_rng(seed))
-    assert_rotation_onto(frame_onto(axis), axis)
-
-
-@pytest.mark.parametrize("axis", [
-    (1e-7, 0.0, -1.0), (3e-7, 2e-7, -1.0), (-1e-7, 1e-7, -1.0),
-    (1e-7, 0.0, 1.0), (3e-7, -2e-7, 1.0), (1e-9, 1e-9, -1.0),
-    (1.0, 0.0, -0.0), (0.6, 0.8, 0.0),
-])
-def test_rotation_near_poles(axis):
-    w = np.array(axis) / np.linalg.norm(axis)
-    assert_rotation_onto(frame_onto(w), w)
 
 
 def test_unrotated_rules_are_shared_read_only():
