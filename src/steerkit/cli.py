@@ -287,10 +287,9 @@ def _verify_checks(level: str, seed: int, inject_fault: bool) -> list[_Check]:
     worst_rel = -math.inf
     for _ in range(n_states_ns):
         tensor = pauli_expansion(random_density_matrix(rng))
-        bound = oracle.ns_bound(svd3(tensor.block))
-        lhs = oracle.model_state_overlaps(
-            tensor, oracle.random_models(rng, models_per_state))
-        worst_rel = max(worst_rel, (max(lhs) - bound) / bound)
+        for check in oracle.verify_ns_inequality(
+                tensor, oracle.random_models(rng, models_per_state)):
+            worst_rel = max(worst_rel, (check.lhs - check.bound) / check.bound)
     checks.append(
         _Check(f"ns inequality ({n_states_ns * models_per_state} models)",
                "(E_Q,E_NS) <= (8pi^2/3) T1", worst_rel, max(0.0, worst_rel),
@@ -301,11 +300,9 @@ def _verify_checks(level: str, seed: int, inject_fault: bool) -> list[_Check]:
     worst = 0.0
     for _ in range(n_sat):
         tensor = pauli_expansion(random_density_matrix(rng))
-        schmidt = svd3(tensor.block)
-        model = oracle.saturating_model(schmidt)
-        lhs = oracle.model_state_overlap(tensor, model)
-        worst = max(worst, abs(lhs - oracle.ns_bound(schmidt)) /
-                    oracle.ns_bound(schmidt))
+        model = oracle.saturating_model(svd3(tensor.block))
+        (check,) = oracle.verify_ns_inequality(tensor, [model])
+        worst = max(worst, abs(check.lhs - check.bound) / check.bound)
     checks.append(
         _Check(f"ns bound saturation ({n_sat} states)", "(8pi^2/3) T1",
                worst, worst, oracle.NS_RELATIVE_TOL)

@@ -328,6 +328,46 @@ def test_verify_deterministic_output(capsys):
     assert other_seed != first
 
 
+# (name, target, tol, status) of each line of the seed-42 fast table.
+FAST_TABLE = [
+    ("orthogonality(N=2)", "(4pi/3) delta_kl", "1e-12", "pass"),
+    ("orthogonality(N=8)", "(4pi/3) delta_kl", "1e-12", "pass"),
+    ("(E_Q,E_Q) Werner(1) = 16pi^2/3", "52.637890", "1e-10", "pass"),
+    ("norm identity (10 random states)", "(16pi^2/9)||T||^2", "1e-10", "pass"),
+    ("vector integral identity (20 draws)", "(4pi/3) m.T lambda", "1e-12", "pass"),
+    ("ns inequality (1000 models)", "(E_Q,E_NS) <= (8pi^2/3) T1", "1e-06", "pass"),
+    ("ns bound saturation (5 states)", "(8pi^2/3) T1", "1e-06", "pass"),
+    ("chsh ns maximum", "2", "1e-06", "pass"),
+    ("abs-cos integral (split grid)", "2pi", "1e-12", "pass"),
+    ("projection constant", "sqrt(3pi)", "1e-12", "pass"),
+    ("steering/LHV bound ratio", "2/3", "5e-16", "pass"),
+]
+
+
+def test_verify_fast_table_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--level", "fast", "--seed", "42")
+    assert code == 0
+    head, columns, *rows, tail = out.splitlines()
+    assert head == "verification level=fast seed=42"
+    assert columns.split() == ["check", "target", "computed", "defect", "tol", "status"]
+    assert tail == "all 11 checks passed"
+    # Fixed-width columns; the defects are rounding-level and not pinned.
+    parsed = [(r[:42].rstrip(), r[43:71].rstrip(), r[100:109].strip(), r[110:])
+              for r in rows]
+    assert parsed == FAST_TABLE
+    values = {r[:42].rstrip(): r[72:86].strip() for r in rows}
+    assert values["ns inequality (1000 models)"] == "-1.197417e-01"
+    assert values["chsh ns maximum"] == "2.000000e+00"
+
+
+def test_verify_full_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--level", "full", "--seed", "42")
+    assert code == 0
+    assert out.splitlines()[-1] == "all 12 checks passed"
+    assert "ns inequality (10000 models)" in out
+    assert "ns overlap Monte Carlo (1e6 samples)" in out
+
+
 def test_verify_rejects_negative_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--seed", "-1"])

@@ -80,6 +80,32 @@ def test_nan_black_box_response_caught():
         model.check_responses()
 
 
+def test_builtin_responses_not_sampled(monkeypatch):
+    # Built-in responses are bounded by construction, so the inequality
+    # check never calls them; the overlap uses their profiles.
+    def refuse(self, m):
+        raise AssertionError(f"{type(self).__name__} was sampled")
+
+    for cls in (sk.SignResponse, sk.ClippedLinearResponse, sk.ConstantResponse):
+        monkeypatch.setattr(cls, "__call__", refuse)
+    rng = np.random.default_rng(21)
+    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    models = [*sk.random_models(rng, 50), sk.saturating_model(sk.svd3(tensor.block))]
+    checks = sk.verify_ns_inequality(tensor, models)
+    assert len(checks) == 51
+    assert all(check.holds for check in checks)
+
+
+def test_builtin_subclass_response_still_sampled():
+    class LoudSign(sk.SignResponse):
+        def __call__(self, m):
+            return 2.0 * super().__call__(m)
+
+    model = single_component_model(Z, LoudSign(Z))
+    with pytest.raises(ValueError):
+        model.check_responses()
+
+
 def test_sign_response_rejects_nan_axis():
     with pytest.raises(ValueError):
         sk.SignResponse([np.nan, 0.0, 1.0])
@@ -633,6 +659,19 @@ def test_chsh_grid_alone_reaches_two():
 def test_chsh_ns_max_value():
     value = sk.chsh_ns_max(step_deg=15.0)
     assert 2.0 - 1e-6 <= value <= 2.0 + 1e-9
+
+
+def test_chsh_ns_max_fine_step_stays_small():
+    # Finer steps land one ulp higher (2.000000000000001 at 3 degrees), so
+    # no exact float is pinned.
+    tracemalloc.start()
+    try:
+        value = sk.chsh_ns_max(step_deg=6.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(value - 2.0) <= 1e-15
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("step_deg", [0.0, -15.0, np.nan, np.inf, 180.5])
