@@ -29,7 +29,6 @@ from .criteria import (
 from .families import ParameterOutOfRange, family_from_name, sweep, werner
 from .states import (
     DensityMatrix4,
-    NonRealComponent,
     StateValidationError,
     correlation_fn,
     pauli_expansion,
@@ -422,7 +421,7 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (StateValidationError, ParameterOutOfRange, NonRealComponent) as exc:
+    except (StateValidationError, ParameterOutOfRange) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

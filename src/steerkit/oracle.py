@@ -19,8 +19,9 @@ evaluates all of these quantities numerically.
 
 The unit of work is a stack of models: random_models draws a whole stack in
 one set of array calls, model_state_overlaps integrates it in one pass, and
-verify_ns_inequality checks it against one SVD of T, sampling only callable
-responses. random_model and model_state_overlap are their one-model cases.
+verify_ns_inequality checks it against one SVD of T; random_model and
+model_state_overlap are their one-model cases. A callable response is
+sampled for |I| <= 1 once, when its ModelComponent is built.
 
 Integration strategy: the inner integral over n is a degree-2 spherical
 polynomial and reduces exactly to (4 pi / 3) * I(m) (m . T lambda). A
@@ -32,8 +33,8 @@ integrate exactly. The panels of all axial components of a stack are laid
 end to end and each profile is evaluated on its own nodes in z; no point
 on the sphere is built. A declared axis of None marks a response that does
 not depend on m and contributes exactly 0. Black-box responses are
-integrated on the rule sphere_grid(48), also inside verify_ns_inequality;
-at discontinuities use Monte Carlo instead.
+integrated on the rule sphere_grid(48); at discontinuities use Monte Carlo
+instead.
 """
 
 from __future__ import annotations
@@ -135,6 +136,14 @@ class ModelComponent:
         if not 0.0 <= self.weight < math.inf:
             raise ValueError(f"weight {self.weight!r} is not finite and non-negative")
         object.__setattr__(self, "hidden_state", unit_vector(self.hidden_state))
+        # The built-in responses are bounded by construction; the test is on
+        # the exact type, so a subclass of one of them is still sampled.
+        if type(self.response) in (SignResponse, ClippedLinearResponse,
+                                   ConstantResponse):
+            return
+        worst = float(np.max(np.abs(self.response(sphere_grid(6).points))))
+        if not worst <= 1.0 + RESPONSE_BOUND_TOL:
+            raise ValueError(f"response reaches {worst:.6f}, beyond 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,22 +160,6 @@ class HiddenStateModel:
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "components", comps)
-
-    def check_responses(self) -> None:
-        """Sampled check that every callable response stays within [-1, 1].
-
-        The built-in responses are bounded by construction and are skipped
-        by exact type, so a subclass of one of them is still sampled.
-        """
-        for k, comp in enumerate(self.components):
-            if type(comp.response) in (SignResponse, ClippedLinearResponse,
-                                       ConstantResponse):
-                continue
-            worst = float(np.max(np.abs(comp.response(sphere_grid(6).points))))
-            if not worst <= 1.0 + RESPONSE_BOUND_TOL:
-                raise ValueError(
-                    f"component {k} response reaches {worst:.6f}, beyond 1"
-                )
 
 
 def ns_correlation_fn(model: HiddenStateModel):
@@ -315,12 +308,10 @@ def verify_ns_inequality(tensor, models: Sequence[HiddenStateModel]
                          ) -> list[NsInequalityCheck]:
     """Check (E_Q, E_NS) <= (8 pi^2 / 3) T1 for each model of a sequence.
 
-    Callable responses are sample-checked for boundedness first; T1 comes
-    from one SVD of T. The comparison allows a 1e-6 relative quadrature
+    Every response was bounded when its component was built; T1 comes from
+    one SVD of T. The comparison allows a 1e-6 relative quadrature
     tolerance.
     """
-    for model in models:
-        model.check_responses()
     bound = ns_bound(svd3(tensor.block))
     tolerance = NS_RELATIVE_TOL * bound + 1e-12
     return [NsInequalityCheck(lhs, bound, tolerance, lhs <= bound + tolerance)
@@ -361,13 +352,16 @@ def random_models(rng: np.random.Generator, count: int) -> list[HiddenStateModel
 
 
 def _direction_grid(step_deg: float) -> np.ndarray:
-    thetas = np.deg2rad(np.arange(0.0, 180.0 + 0.5 * step_deg, step_deg))
+    degrees = np.arange(0.0, 180.0 + 0.5 * step_deg, step_deg)
+    thetas = np.deg2rad(degrees)
     phis = np.deg2rad(np.arange(0.0, 360.0, step_deg))
     st, ct = np.sin(thetas), np.cos(thetas)
     x = np.outer(st, np.cos(phis)).ravel()
     y = np.outer(st, np.sin(phis)).ravel()
     z = np.repeat(ct, len(phis))
-    return np.column_stack([x, y, z])
+    # A pole (theta = 0 or 180 degrees) is one direction, not a ring.
+    keep = (np.arange(len(phis)) == 0) | (degrees % 180.0 != 0.0)[:, None]
+    return np.column_stack([x, y, z])[keep.ravel()]
 
 
 def chsh_ns_max(step_deg: float = 15.0) -> float:

@@ -69,6 +69,20 @@ def test_analyze_document_round_trip(tmp_path, capsys):
     assert json.loads(out_doc) == json.loads(out_fam)
 
 
+def test_analyze_accepted_state_at_the_positivity_floor(tmp_path, capsys):
+    # Smallest eigenvalue -9.0e-10 passes validation; one tensor entry
+    # exceeds 1 by 3.6e-9, which the expansion must accept too.
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    rho = np.outer(phi, phi) + 9e-10 * np.diag([1.0, -1.0, -1.0, 1.0])
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(cli.state_to_document(sk.validate_state(rho))))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert max(abs(x) for row in report["tensor"] for x in row) > 1.0 + 1e-9
+    assert len(report["verdicts"]) == 4
+
+
 def test_analyze_writes_output_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(

@@ -69,15 +69,28 @@ def test_model_weight_validation():
 
 
 def test_unbounded_black_box_response_caught():
-    model = single_component_model(Z, lambda m: 2.0 * np.ones(len(m)))
     with pytest.raises(ValueError):
-        model.check_responses()
+        single_component_model(Z, lambda m: 2.0 * np.ones(len(m)))
 
 
 def test_nan_black_box_response_caught():
-    model = single_component_model(Z, lambda m: np.full(len(m), np.nan))
     with pytest.raises(ValueError):
-        model.check_responses()
+        single_component_model(Z, lambda m: np.full(len(m), np.nan))
+
+
+def test_unbounded_response_never_reaches_an_overlap():
+    # The bound is checked where the component is built, so neither overlap
+    # route can be handed a model whose response leaves [-1, 1].
+    rng = np.random.default_rng(5)
+    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    for response in (lambda m: 3.0 * (np.asarray(m) @ Z),
+                     lambda m: np.full(len(m), -1.5)):
+        with pytest.raises(ValueError, match="beyond 1"):
+            model = single_component_model(Z, response)
+            sk.model_state_overlap(tensor, model)
+        with pytest.raises(ValueError, match="beyond 1"):
+            model = single_component_model(Z, response)
+            sk.model_state_overlap_mc(tensor, model, 1000, rng)
 
 
 def test_builtin_responses_not_sampled(monkeypatch):
@@ -101,9 +114,8 @@ def test_builtin_subclass_response_still_sampled():
         def __call__(self, m):
             return 2.0 * super().__call__(m)
 
-    model = single_component_model(Z, LoudSign(Z))
     with pytest.raises(ValueError):
-        model.check_responses()
+        single_component_model(Z, LoudSign(Z))
 
 
 def test_sign_response_rejects_nan_axis():
@@ -672,6 +684,14 @@ def test_chsh_ns_max_fine_step_stays_small():
         tracemalloc.stop()
     assert abs(value - 2.0) <= 1e-15
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("step_deg, size", [(30.0, 62), (15.0, 266), (6.0, 1742)])
+def test_chsh_grid_has_each_direction_once(step_deg, size):
+    # The poles theta = 0 and 180 degrees are single directions, not rings.
+    dirs = sk.oracle._direction_grid(step_deg)
+    assert len(dirs) == size
+    assert len(np.unique(np.round(dirs, 12), axis=0)) == size
 
 
 @pytest.mark.parametrize("step_deg", [0.0, -15.0, np.nan, np.inf, 180.5])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,12 +109,32 @@ def test_pauli_round_trip():
 
 
 def test_non_real_component_guard():
-    # reachable only if validation is bypassed, hence the stand-in object
+    # The expansion trusts validation, so an unvalidated stand-in is refused.
     class Raw:
         matrix = np.eye(4, dtype=complex) / 4.0 + 0.5j * np.diag([1, -1, 1, -1])
 
-    with pytest.raises(sk.NonRealComponent):
+    with pytest.raises(TypeError):
         sk.pauli_expansion(Raw())
+
+
+BELL_STATES = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]
+) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("negatives", [1, 2, 3])
+def test_every_accepted_bell_diagonal_state_expands(negatives):
+    # Eigenvalues at the positivity floor push a diagonal T entry past 1 by
+    # a few 1e-9. No local rotation: it would spread T and hide the case.
+    floor = -0.999999e-9
+    spectrum = (1.0 - negatives * floor, *[floor] * negatives,
+                *[0.0] * (3 - negatives))
+    worst = 0.0
+    for lam in set(itertools.permutations(spectrum)):
+        rho = sum(p * np.outer(b, b) for p, b in zip(lam, BELL_STATES))
+        tensor = sk.pauli_expansion(sk.validate_state(rho))
+        worst = max(worst, float(np.abs(tensor.full).max()))
+    assert 1.0 + 1e-9 < worst <= 1.0 + 1e-8
 
 
 def test_tensor_requires_exact_unit_corner():
