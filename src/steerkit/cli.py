@@ -93,7 +93,11 @@ def _load_state(args) -> tuple[DensityMatrix4, str]:
         if given:
             raise DocumentError(f"a document path takes no {', '.join(given)}")
         with open(args.state, "r", encoding="utf-8") as fp:
-            return parse_state_document(json.load(fp))
+            try:
+                data = json.load(fp)
+            except RecursionError:
+                raise DocumentError("document nests too deeply") from None
+        return parse_state_document(data)
     if args.family is None:
         raise DocumentError("give a document path or --family")
     if args.v is None:

@@ -76,7 +76,6 @@ class NoiseFamily:
     """
 
     name: str
-    description: str
     state_at: Callable[[float], DensityMatrix4]
     pure_state: np.ndarray = field(repr=False, compare=False)
     shape_parameters: Mapping[str, float] = field(default_factory=dict)
@@ -92,14 +91,13 @@ class NoiseFamily:
 
 
 def werner_family() -> NoiseFamily:
-    return NoiseFamily("werner", "singlet with white noise", werner, _SINGLET)
+    return NoiseFamily("werner", werner, _SINGLET)
 
 
 def noisy_schmidt_family(alpha: float) -> NoiseFamily:
     _check_alpha(alpha)
     return NoiseFamily(
         "noisy-schmidt",
-        "partially entangled pure state with white noise",
         partial(noisy_schmidt, alpha),
         _schmidt_vector(alpha),
         {"alpha": float(alpha)},

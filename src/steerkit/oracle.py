@@ -20,21 +20,22 @@ evaluates all of these quantities numerically.
 The unit of work is a stack of models: random_models draws a whole stack in
 one set of array calls, model_state_overlaps integrates it in one pass, and
 verify_ns_inequality checks it against one SVD of T; random_model and
-model_state_overlap are their one-model cases. A callable response is
-sampled for |I| <= 1 once, when its ModelComponent is built.
+model_state_overlap are their one-model cases.
+
+One rule, on the exact type, decides how a response is bounded and how it
+is integrated. A SignResponse, ClippedLinearResponse or ConstantResponse is
+bounded by construction and axial, I(m) = profile(m . axis). Anything else,
+a subclass included, is a black box: sampled for |I| <= 1 when its
+ModelComponent is built, and integrated through that same ``__call__``.
 
 Integration strategy: the inner integral over n is a degree-2 spherical
-polynomial and reduces exactly to (4 pi / 3) * I(m) (m . T lambda). A
-response that declares ``axis`` and ``breakpoints`` is axial and provides
-its ``profile``, I(m) = profile(m . axis); its m-integral against m . c
-is (axis . c) times 2 pi int profile(z) z dz, done by Gauss-Legendre on
-panels split at the breakpoints, so the built-in response families
-integrate exactly. The panels of all axial components of a stack are laid
-end to end and each profile is evaluated on its own nodes in z; no point
-on the sphere is built. A declared axis of None marks a response that does
-not depend on m and contributes exactly 0. Black-box responses are
-integrated on the rule sphere_grid(48); at discontinuities use Monte Carlo
-instead.
+polynomial and reduces exactly to (4 pi / 3) * I(m) (m . T lambda). An
+axial m-integral against m . c is (axis . c) times 2 pi int profile(z) z dz,
+done by Gauss-Legendre on panels split at the breakpoints, so it is exact.
+The panels of all axial components of a stack are laid end to end and each
+profile is evaluated on its own nodes in z; no point on the sphere is built.
+An axis of None (a constant, or the zero clipped vector) contributes
+exactly 0. Black boxes use sphere_grid(48); at a jump, prefer Monte Carlo.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ class ConstantResponse:
 
     value: float
     axis = None
-    breakpoints = ()
 
     def __post_init__(self):
         if not abs(self.value) <= 1.0:
@@ -124,6 +124,10 @@ class ConstantResponse:
 
     def __call__(self, m):
         return np.full(np.shape(m)[:-1], self.value, dtype=float)
+
+
+# Matched on the exact type: a subclass is a black box like any callable.
+_BUILT_IN = (SignResponse, ClippedLinearResponse, ConstantResponse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,10 +140,7 @@ class ModelComponent:
         if not 0.0 <= self.weight < math.inf:
             raise ValueError(f"weight {self.weight!r} is not finite and non-negative")
         object.__setattr__(self, "hidden_state", unit_vector(self.hidden_state))
-        # The built-in responses are bounded by construction; the test is on
-        # the exact type, so a subclass of one of them is still sampled.
-        if type(self.response) in (SignResponse, ClippedLinearResponse,
-                                   ConstantResponse):
+        if type(self.response) in _BUILT_IN:
             return
         worst = float(np.max(np.abs(self.response(sphere_grid(6).points))))
         if not worst <= 1.0 + RESPONSE_BOUND_TOL:
@@ -156,6 +157,8 @@ class HiddenStateModel:
         comps = tuple(self.components)
         if not comps:
             raise ValueError("model needs at least one component")
+        if any(type(c) is not ModelComponent for c in comps):
+            raise TypeError("every component must be a ModelComponent")
         total = math.fsum(c.weight for c in comps)
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
@@ -212,11 +215,10 @@ def model_state_overlap(tensor, model: HiddenStateModel) -> float:
 def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[float]:
     """(E_Q, E_NS) of each model, with the n-integral done analytically.
 
-    The axial components of all models go through one panel pass, and each
-    model's terms are summed on their own. Exact for the built-in response
-    families; arbitrary callables without declared ``axis`` and
-    ``breakpoints`` are integrated on ``sphere_grid(48)`` and may lose
-    accuracy at discontinuities (use the Monte Carlo route for those).
+    The built-in responses of all models go through one exact panel pass on
+    their profiles, and each model's terms are summed on their own. Any
+    other response is integrated through its ``__call__`` on
+    ``sphere_grid(48)``, which loses digits at discontinuities.
     """
     block = tensor.block
     comps = [c for model in models for c in model.components]
@@ -224,7 +226,7 @@ def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[flo
     axial = []
     for k, comp in enumerate(comps):
         response = comp.response
-        if hasattr(response, "axis") and hasattr(response, "breakpoints"):
+        if type(response) in _BUILT_IN:
             if response.axis is not None:
                 axial.append(k)
             continue
@@ -246,11 +248,9 @@ def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[flo
 def _axial_terms(block: np.ndarray, comps: list[ModelComponent]) -> np.ndarray:
     """p_k (a_k . T lambda_k) 2 pi int f_k(z) z dz for axial components."""
     nodes, node_weights = _legendre6()
-    edges = [(-1.0, *sorted(c.response.breakpoints), 1.0) for c in comps]
+    edges = [(-1.0, *c.response.breakpoints, 1.0) for c in comps]
     lo = np.array([x for e in edges for x in e[:-1]])
     half = 0.5 * (np.array([x for e in edges for x in e[1:]]) - lo)
-    if not half.min() >= 0.0:
-        raise ValueError("breakpoints must lie inside [-1, 1]")
     # One row of nodes per panel; component k owns rows starts[k]:starts[k+1].
     z = (lo + half)[:, None] + half[:, None] * nodes
     starts = [0, *accumulate(len(e) - 1 for e in edges)]

@@ -43,8 +43,8 @@ class Violation(NamedTuple):
 class StateValidationError(ValueError):
     """A 4x4 matrix failed one or more density-matrix invariants.
 
-    ``violations`` lists every failed invariant with the magnitude of the
-    defect, not just the one that selected the exception class.
+    ``violations`` lists every failed invariant, in the order checked, with
+    the magnitude of the defect.
     """
 
     def __init__(self, violations: tuple[Violation, ...]):
@@ -53,25 +53,6 @@ class StateValidationError(ValueError):
             f"{v.invariant} (defect {v.magnitude:.3e})" for v in self.violations
         )
         super().__init__(f"not a valid two-qubit state: {detail}")
-
-
-class NotHermitian(StateValidationError):
-    pass
-
-
-class TraceNotOne(StateValidationError):
-    pass
-
-
-class NotPositive(StateValidationError):
-    pass
-
-
-_VIOLATION_CLASSES = {
-    "NotHermitian": NotHermitian,
-    "TraceNotOne": TraceNotOne,
-    "NotPositive": NotPositive,
-}
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -111,16 +92,16 @@ class DensityMatrix4:
         if min_eig < -PSD_TOL:
             violations.append(Violation("NotPositive", min_eig))
         if violations:
-            raise _VIOLATION_CLASSES[violations[0].invariant](tuple(violations))
+            raise StateValidationError(tuple(violations))
         object.__setattr__(self, "matrix", _readonly(m))
 
 
 def validate_state(entries) -> DensityMatrix4:
     """Validate a 4x4 complex array as a two-qubit density matrix.
 
-    Raises StateValidationError for non-finite entries, otherwise
-    NotHermitian, TraceNotOne or NotPositive; the exception lists every
-    violated invariant and its magnitude.
+    Raises StateValidationError, whose ``violations`` name every violated
+    invariant (NonFinite alone, otherwise any of NotHermitian, TraceNotOne
+    and NotPositive) with its magnitude.
     """
     return DensityMatrix4(entries)
 

@@ -40,10 +40,6 @@ class SchmidtForm:
     def t2(self) -> float:
         return float(self.sigma[1])
 
-    @property
-    def t3(self) -> float:
-        return float(self.sigma[2])
-
     def reconstruct(self) -> np.ndarray:
         return self.u.T @ np.diag(self.sigma) @ self.v
 

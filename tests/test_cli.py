@@ -156,6 +156,22 @@ def test_analyze_document_not_utf8(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_analyze_deeply_nested_document(tmp_path):
+    # The JSON parser recurses once per level; 100,000 levels exhaust the
+    # interpreter's recursion limit, which must read as a malformed document.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    src = str(Path(sk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "steerkit.cli", "analyze", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/state.json")
     assert code == 1

@@ -177,7 +177,7 @@ def test_noisy_schmidt_family_checks_alpha_when_built():
 
 def test_declared_pure_state_is_validated():
     with pytest.raises(sk.StateValidationError):
-        sk.NoiseFamily("unnormalised", "", sk.werner, np.ones(4))
+        sk.NoiseFamily("unnormalised", sk.werner, np.ones(4))
 
 
 def threshold_or_none(family, criterion):

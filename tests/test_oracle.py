@@ -118,6 +118,58 @@ def test_builtin_subclass_response_still_sampled():
         single_component_model(Z, LoudSign(Z))
 
 
+def test_subclass_response_integrated_as_called():
+    # A subclass is a black box: the quadrature integrates the __call__ that
+    # was sampled and that Monte Carlo uses, not the inherited profile.
+    class Negated(sk.SignResponse):
+        def __call__(self, m):
+            return -super().__call__(m)
+
+    tensor = sk.pauli_expansion(sk.werner(1.0))
+    schmidt = sk.svd3(tensor.block)
+    model = single_component_model(schmidt.v[0], Negated(schmidt.u[0]))
+    quadrature = sk.model_state_overlap(tensor, model)
+    rng = np.random.default_rng(22)
+    estimate, stderr = sk.model_state_overlap_mc(tensor, model, 200_000, rng)
+    assert abs(quadrature - estimate) <= 3.0 * stderr
+    assert quadrature < 0.0
+
+
+class _ForeignSign:
+    # Declares an axis and breakpoints like a built-in, but its profile is
+    # not its response.
+    breakpoints = (0.0,)
+
+    def __init__(self, axis):
+        self.axis = axis
+
+    def __call__(self, m):
+        return np.sign(np.asarray(m) @ self.axis)
+
+    def profile(self, z):
+        return 5.0 * np.sign(z)
+
+
+class _LoudProfileSign(sk.SignResponse):
+    def profile(self, z):
+        return 5.0 * np.sign(z)
+
+
+@pytest.mark.parametrize("cls", [_ForeignSign, _LoudProfileSign])
+def test_declared_profile_outside_built_ins_ignored(cls):
+    # Only the built-in types are integrated through their profiles; a
+    # profile of 5 sign(z) would give 5 times the saturating overlap.
+    tensor = sk.pauli_expansion(sk.werner(1.0))
+    schmidt = sk.svd3(tensor.block)
+    lam, axis = schmidt.v[0], schmidt.u[0]
+    declared = sk.model_state_overlap(
+        tensor, single_component_model(lam, sk.SignResponse(axis)))
+    model = single_component_model(lam, cls(axis))
+    assert sk.model_state_overlap(tensor, model) == pytest.approx(declared, abs=5e-2)
+    (check,) = sk.verify_ns_inequality(tensor, [model])
+    assert check.holds
+
+
 def test_sign_response_rejects_nan_axis():
     with pytest.raises(ValueError):
         sk.SignResponse([np.nan, 0.0, 1.0])
@@ -134,11 +186,25 @@ def test_component_rejects_non_finite_weight():
     for weight in (np.nan, np.inf):
         with pytest.raises(ValueError):
             sk.ModelComponent(weight, Z, sk.ConstantResponse(1.0))
-    # The model's own sum check must fail on NaN too, not only the component's.
+    # A stand-in that skips the component's checks is not a component.
     stand_in = SimpleNamespace(weight=np.nan, hidden_state=Z,
                                response=sk.ConstantResponse(1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         sk.HiddenStateModel((stand_in,))
+
+
+def test_model_accepts_only_exact_components():
+    # A stand-in, or a subclass that skips the sampling in __post_init__,
+    # would hand an unbounded response to every overlap route.
+    class Unchecked(sk.ModelComponent):
+        def __post_init__(self):
+            pass
+
+    loud = lambda m: 5.0 * (np.asarray(m) @ Z)  # noqa: E731
+    for comp in (SimpleNamespace(weight=1.0, hidden_state=Z, response=loud),
+                 Unchecked(1.0, Z, loud)):
+        with pytest.raises(TypeError):
+            sk.HiddenStateModel((comp,))
 
 
 def test_component_rejects_nan_hidden_state():

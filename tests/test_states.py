@@ -23,14 +23,14 @@ def test_singlet_projector_is_valid():
 def test_negative_eigenvalue_rejected():
     # trace of diag(2, -1, 0, 0) is exactly 1, so positivity is the only
     # violated invariant
-    with pytest.raises(sk.NotPositive) as exc:
+    with pytest.raises(sk.StateValidationError) as exc:
         sk.validate_state(np.diag([2.0, -1.0, 0.0, 0.0]))
     assert [v.invariant for v in exc.value.violations] == ["NotPositive"]
     assert exc.value.violations[0].magnitude == pytest.approx(-1.0)
 
 
 def test_all_violations_reported_together():
-    with pytest.raises(sk.TraceNotOne) as exc:
+    with pytest.raises(sk.StateValidationError) as exc:
         sk.validate_state(np.diag([2.0, -1.0, 0.0, 0.5]))
     names = [v.invariant for v in exc.value.violations]
     assert names == ["TraceNotOne", "NotPositive"]
@@ -40,8 +40,9 @@ def test_all_violations_reported_together():
 def test_non_hermitian_rejected():
     m = np.eye(4, dtype=complex) / 4.0
     m[0, 1] = 0.5
-    with pytest.raises(sk.NotHermitian):
+    with pytest.raises(sk.StateValidationError) as exc:
         sk.validate_state(m)
+    assert [v.invariant for v in exc.value.violations] == ["NotHermitian"]
 
 
 def test_wrong_shape_rejected():
