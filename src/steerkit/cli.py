@@ -43,6 +43,7 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_NO_DETECTION = 4
+MAX_GRID_POINTS = 10**6  # a sweep holds about 480 B per point, so 0.5 GB here
 
 
 class DocumentError(ValueError):
@@ -167,6 +168,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise DocumentError(f"--grid must be START:STOP:COUNT, got {spec!r}") from exc
     if count < 0 or not 0.0 <= start <= stop <= 1.0:
         raise ParameterOutOfRange(f"grid {spec!r} outside [0, 1] or negative count")
+    if count > MAX_GRID_POINTS:
+        raise ParameterOutOfRange(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     return np.linspace(start, stop, count)
 
 

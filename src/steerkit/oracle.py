@@ -24,32 +24,30 @@ model_state_overlap are their one-model cases.
 
 One rule, on the exact type, decides how a response is bounded and how it
 is integrated. A SignResponse, ClippedLinearResponse or ConstantResponse is
-bounded by construction and axial, I(m) = profile(m . axis). Anything else,
-a subclass included, is a black box: sampled for |I| <= 1 when its
-ModelComponent is built, and integrated through that same ``__call__``.
+bounded by construction. Anything else, a subclass included, is a black
+box: its ``__call__`` is sampled for |I| <= 1 on the nodes of sphere_grid(48)
+when its ModelComponent is built, and integrated on those same nodes.
 
 Integration strategy: the inner integral over n is a degree-2 spherical
-polynomial and reduces exactly to (4 pi / 3) * I(m) (m . T lambda). An
-axial m-integral against m . c is (axis . c) times 2 pi int profile(z) z dz,
-done by Gauss-Legendre on panels split at the breakpoints, so it is exact.
-The panels of all axial components of a stack are laid end to end and each
-profile is evaluated on its own nodes in z; no point on the sphere is built.
-An axis of None (a constant, or the zero clipped vector) contributes
-exactly 0. Black boxes use sphere_grid(48); at a jump, prefer Monte Carlo.
+polynomial and reduces exactly to (4 pi / 3) * I(m) (m . T lambda). Sign and
+clipped responses share one axial profile, I(m) = clip(norm z, -1, 1) with
+z = m . axis, a sign being norm = inf. Against m . c the m-integral is
+(axis . c) 2 pi int clip(norm z, -1, 1) z dz, taken by Gauss-Legendre on
+panels split at the breakpoints, so it is exact; the profile is evaluated
+once over the panels of all axial components of a stack. An axis of None
+(a constant, or the zero clipped vector) contributes exactly 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .criteria import tensor_norm_sq
-from .sphere import integrate, sphere_grid, uniform_sphere
+from .sphere import gauss_legendre_panels, integrate, sphere_grid, uniform_sphere
 from .states import correlation_fn, unit_vector
 from .svd3 import SchmidtForm, svd3
 
@@ -74,7 +72,7 @@ class SignResponse:
 
     axis: np.ndarray
     breakpoints = (0.0,)
-    profile = staticmethod(np.sign)
+    norm = math.inf  # the infinite-slope limit of clip(norm * z, -1, 1)
 
     def __post_init__(self):
         object.__setattr__(self, "axis", unit_vector(self.axis))
@@ -106,9 +104,6 @@ class ClippedLinearResponse:
 
     def __call__(self, m):
         return np.minimum(np.maximum(np.asarray(m) @ self.vector, -1.0), 1.0)
-
-    def profile(self, z):
-        return np.minimum(np.maximum(self.norm * z, -1.0), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +137,8 @@ class ModelComponent:
         object.__setattr__(self, "hidden_state", unit_vector(self.hidden_state))
         if type(self.response) in _BUILT_IN:
             return
-        worst = float(np.max(np.abs(self.response(sphere_grid(6).points))))
+        # Sampled on the very nodes model_state_overlaps integrates it on.
+        worst = float(np.max(np.abs(self.response(sphere_grid(48).points))))
         if not worst <= 1.0 + RESPONSE_BOUND_TOL:
             raise ValueError(f"response reaches {worst:.6f}, beyond 1")
 
@@ -215,10 +211,10 @@ def model_state_overlap(tensor, model: HiddenStateModel) -> float:
 def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[float]:
     """(E_Q, E_NS) of each model, with the n-integral done analytically.
 
-    The built-in responses of all models go through one exact panel pass on
-    their profiles, and each model's terms are summed on their own. Any
-    other response is integrated through its ``__call__`` on
-    ``sphere_grid(48)``, which loses digits at discontinuities.
+    The sign and clipped responses of all models go through one exact
+    panel pass on clip(norm z, -1, 1), and each model's terms are summed on
+    their own. A black box is integrated through its ``__call__`` on the
+    sphere_grid(48) nodes it was checked on, which loses digits at a jump.
     """
     block = tensor.block
     comps = [c for model in models for c in model.components]
@@ -246,27 +242,23 @@ def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[flo
 
 
 def _axial_terms(block: np.ndarray, comps: list[ModelComponent]) -> np.ndarray:
-    """p_k (a_k . T lambda_k) 2 pi int f_k(z) z dz for axial components."""
-    nodes, node_weights = _legendre6()
+    """p_k (a_k . T lambda_k) 2 pi int clip(norm_k z, -1, 1) z dz, k axial."""
     edges = [(-1.0, *c.response.breakpoints, 1.0) for c in comps]
-    lo = np.array([x for e in edges for x in e[:-1]])
-    half = 0.5 * (np.array([x for e in edges for x in e[1:]]) - lo)
-    # One row of nodes per panel; component k owns rows starts[k]:starts[k+1].
-    z = (lo + half)[:, None] + half[:, None] * nodes
-    starts = [0, *accumulate(len(e) - 1 for e in edges)]
-    f = np.concatenate([c.response.profile(z[a:b])
-                        for c, a, b in zip(comps, starts, starts[1:])])
-    panel_sums = (half[:, None] * node_weights * f * z).sum(axis=1)
-    moments = 2.0 * math.pi * np.add.reduceat(panel_sums, starts[:-1])
+    panels = np.array([len(e) - 1 for e in edges])
+    # One row of nodes per panel, each component's rows in a consecutive run.
+    z, node_weights = gauss_legendre_panels(
+        np.array([x for e in edges for x in e[:-1]]),
+        np.array([x for e in edges for x in e[1:]]), 6)
+    norms = np.repeat([c.response.norm for c in comps], panels)[:, None]
+    # A sign response's norm is inf; its split at 0 keeps every node off
+    # z = 0, where inf * 0 would be NaN.
+    f = np.minimum(np.maximum(norms * z, -1.0), 1.0)
+    panel_sums = (node_weights * f * z).sum(axis=1)
+    moments = 2.0 * math.pi * np.add.reduceat(panel_sums, panels.cumsum() - panels)
     axes = np.array([c.response.axis for c in comps])
     hidden = np.array([c.hidden_state for c in comps])
     weights = np.array([c.weight for c in comps])
     return weights * moments * ((axes @ block) * hidden).sum(axis=1)
-
-
-@cache
-def _legendre6() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(6)  # numpy.polynomial loads on first use
 
 
 def model_state_overlap_mc(tensor, model: HiddenStateModel, samples: int,

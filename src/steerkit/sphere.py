@@ -3,12 +3,11 @@
 Grids are tensor products of Gauss-Legendre in cos(theta) with a uniform
 periodic rule in phi of n_phi = 2*n_theta points, so every spherical
 polynomial of total degree up to 2*n_theta - 1 integrates exactly. The
-polar range can be split into panels at given cos(theta) breakpoints,
-which restores exactness for integrands with kinks or jumps on latitude
-circles (e.g. sign responses split at the equator).
+polar range can be split into panels at cos(theta) breakpoints, which
+restores exactness for integrands with kinks or jumps on latitude circles.
 
-Rules are built once per (n_theta, breakpoints) and shared as read-only
-values, from a bounded cache.
+gauss_legendre_panels maps the nodes onto many panels at once; it builds
+these rules, cached and shared read-only, and the oracle's axial moments.
 """
 
 from __future__ import annotations
@@ -50,35 +49,38 @@ def sphere_grid(n_theta: int, breakpoints=()) -> SphereGrid:
     interval is split into separate Gauss-Legendre panels of order
     ``n_theta`` each; (0.0,) gives the hemispherical split.
     """
-    return _unrotated(n_theta, tuple(sorted(float(b) for b in breakpoints)))
+    return _rule(n_theta, tuple(sorted(float(b) for b in breakpoints)))
 
 
 @lru_cache(maxsize=64)
-def _unrotated(n_theta: int, bps: tuple[float, ...]) -> SphereGrid:
+def _rule(n_theta: int, bps: tuple[float, ...]) -> SphereGrid:
     if n_theta < 1:
         raise ValueError("n_theta must be at least 1")
     if any(not -1.0 < b < 1.0 for b in bps):
         raise ValueError("breakpoints must lie strictly inside (-1, 1)")
-    edges = (-1.0, *bps, 1.0)
+    edges = np.array((-1.0, *bps, 1.0))
+    u, wu = gauss_legendre_panels(edges[:-1], edges[1:], n_theta)
     n_phi = 2 * n_theta
-
-    x, w = np.polynomial.legendre.leggauss(n_theta)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     dphi = 2.0 * np.pi / n_phi
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    # np.outer and np.repeat flatten the (panels, n_theta) rows in order.
+    sin_theta = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    px = np.outer(sin_theta, np.cos(phi)).ravel()
+    py = np.outer(sin_theta, np.sin(phi)).ravel()
+    points = np.column_stack([px, py, np.repeat(u, n_phi)])
+    return SphereGrid(points, np.repeat(wu * dphi, n_phi), n_theta)
 
-    points = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        u = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        wu = 0.5 * (hi - lo) * w
-        sin_theta = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-        px = np.outer(sin_theta, cos_phi).ravel()
-        py = np.outer(sin_theta, sin_phi).ravel()
-        pz = np.repeat(u, n_phi)
-        points.append(np.column_stack([px, py, pz]))
-        weights.append(np.repeat(wu * dphi, n_phi))
-    return SphereGrid(np.concatenate(points), np.concatenate(weights), n_theta)
+
+def gauss_legendre_panels(lo, hi, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``order``, one row per panel [lo, hi]."""
+    x, w = _leggauss(order)
+    half = (0.5 * (hi - lo))[:, None]
+    return half * x + (0.5 * (hi + lo))[:, None], half * w
+
+
+@lru_cache(maxsize=64)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)  # numpy.polynomial loads on first use
 
 
 def integrate(grid: SphereGrid, f) -> float:

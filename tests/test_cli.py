@@ -156,16 +156,21 @@ def test_analyze_document_not_utf8(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def run_process(*argv):
+    # A fresh interpreter, for failures that would escape cli.main in-process.
+    src = str(Path(sk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "steerkit.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_analyze_deeply_nested_document(tmp_path):
     # The JSON parser recurses once per level; 100,000 levels exhaust the
     # interpreter's recursion limit, which must read as a malformed document.
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)
-    src = str(Path(sk.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "steerkit.cli", "analyze", str(path)],
-                          capture_output=True, text=True, env=env)
+    proc = run_process("analyze", str(path))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
@@ -248,6 +253,16 @@ def test_sweep_empty_grid(capsys):
 def test_sweep_range_error(capsys):
     code, _, err = run(capsys, "sweep", "--family", "werner", "--grid", "0:2:5")
     assert code == 2
+
+
+def test_sweep_grid_count_bounded():
+    # 10**15 points would need petabytes; the count is refused before any
+    # array is built.
+    proc = run_process("sweep", "--family", "werner", "--grid", "0:1:1000000000000000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invalid input:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_sweep_bad_grid_spec(capsys):

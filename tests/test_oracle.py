@@ -95,7 +95,7 @@ def test_unbounded_response_never_reaches_an_overlap():
 
 def test_builtin_responses_not_sampled(monkeypatch):
     # Built-in responses are bounded by construction, so the inequality
-    # check never calls them; the overlap uses their profiles.
+    # check never calls them; the overlap uses their clip formula.
     def refuse(self, m):
         raise AssertionError(f"{type(self).__name__} was sampled")
 
@@ -118,9 +118,25 @@ def test_builtin_subclass_response_still_sampled():
         single_component_model(Z, LoudSign(Z))
 
 
+def test_black_box_checked_on_the_nodes_it_is_integrated_on():
+    # A response of 5 sign(m . u) on the latitude rings of sphere_grid(48),
+    # the rule black boxes are integrated on, and sign(m . u) elsewhere:
+    # accepted unchecked, it would give 5 times the Werner(1) NS bound.
+    schmidt = sk.svd3(sk.pauli_expansion(sk.werner(1.0)).block)
+    rings = np.unique(sk.sphere_grid(48).points[:, 2])
+
+    def spiked(m):
+        m = np.asarray(m)
+        on_ring = np.isin(m[..., 2], rings)
+        return np.where(on_ring, 5.0, 1.0) * np.sign(m @ schmidt.u[0])
+
+    with pytest.raises(ValueError, match="beyond 1"):
+        single_component_model(schmidt.v[0], spiked)
+
+
 def test_subclass_response_integrated_as_called():
     # A subclass is a black box: the quadrature integrates the __call__ that
-    # was sampled and that Monte Carlo uses, not the inherited profile.
+    # was sampled and that Monte Carlo uses, not the built-in clip formula.
     class Negated(sk.SignResponse):
         def __call__(self, m):
             return -super().__call__(m)
@@ -157,8 +173,8 @@ class _LoudProfileSign(sk.SignResponse):
 
 @pytest.mark.parametrize("cls", [_ForeignSign, _LoudProfileSign])
 def test_declared_profile_outside_built_ins_ignored(cls):
-    # Only the built-in types are integrated through their profiles; a
-    # profile of 5 sign(z) would give 5 times the saturating overlap.
+    # Only the built-in types are integrated by formula; a declared profile
+    # of 5 sign(z), if used, would give 5 times the saturating overlap.
     tensor = sk.pauli_expansion(sk.werner(1.0))
     schmidt = sk.svd3(tensor.block)
     lam, axis = schmidt.v[0], schmidt.u[0]
@@ -230,16 +246,18 @@ def test_clipped_response_geometry_down_to_zero():
 
 
 @pytest.mark.parametrize("norm", [None, 0.05, 1.0, 1.0 + 1e-9, 2.0])
-def test_axial_response_is_its_profile(norm):
-    # The overlap integrates profile(z) alone, so it must be the response
-    # itself on every setting: I(m) = profile(m . axis). None is the sign.
+def test_axial_response_is_the_clip_formula(norm):
+    # The overlap integrates clip(norm z, -1, 1) alone, so it must be the
+    # response itself on every setting, with z = m . axis. None is the sign,
+    # whose norm is inf.
     rng = np.random.default_rng(18)
     for _ in range(20):
         axis = sk.random_unit_vector(rng)
         response = (sk.SignResponse(axis) if norm is None
                     else sk.ClippedLinearResponse(norm * axis))
         m = sk.uniform_sphere(500, rng)
-        defect = np.abs(response(m) - response.profile(m @ response.axis))
+        formula = np.clip(response.norm * (m @ response.axis), -1.0, 1.0)
+        defect = np.abs(response(m) - formula)
         assert defect.max() <= 1e-15
 
 
@@ -254,7 +272,7 @@ def test_rule_cache_stays_bounded():
         )
         sk.model_state_overlap(tensor, single_component_model(Z, response))
         sk.sphere_grid(6, response.breakpoints)
-    info = sk.sphere._unrotated.cache_info()
+    info = sk.sphere._rule.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
 
@@ -264,7 +282,7 @@ def test_declared_overlaps_build_no_rule():
     # none of them, nor sign or constant responses, needs a sphere rule.
     rng = np.random.default_rng(17)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    before = sk.sphere._unrotated.cache_info()
+    before = sk.sphere._rule.cache_info()
     for k in range(500):
         axis = sk.random_unit_vector(rng)
         response = (
@@ -273,7 +291,7 @@ def test_declared_overlaps_build_no_rule():
             else sk.ConstantResponse(1.0)
         )
         sk.model_state_overlap(tensor, single_component_model(Z, response))
-    after = sk.sphere._unrotated.cache_info()
+    after = sk.sphere._rule.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 

@@ -107,7 +107,7 @@ def test_projection_norm_constant():
     assert abs(sk.projection_norm_constant(grid) - math.sqrt(3.0 * np.pi)) <= 1e-12
 
 
-def test_unrotated_rules_are_shared_read_only():
+def test_rules_are_shared_read_only():
     grid = sk.sphere_grid(6, (0.0,))
     assert sk.sphere_grid(6, (0.0,)) is grid
     assert sk.sphere_grid(6, [0.0]) is grid
