@@ -12,30 +12,16 @@ product over the product of Bloch spheres obeys
     (E_Q, E_NS) <= (8 pi^2 / 3) T1,
 
 with T1 the top singular value of T, while (E_Q, E_Q) equals
-(16 pi^2 / 9) ||T||^2. The bound is attained by a single-component model
-whose hidden state is the top right singular vector and whose response is
-the sign of the projection onto the top left singular vector. This module
-evaluates all of these quantities numerically.
+(16 pi^2 / 9) ||T||^2; a sign response on the top singular vectors attains
+the bound. A response is a SignResponse, ClippedLinearResponse or
+ConstantResponse, matched on the exact type. Models are held as columns,
+drawn a stack at a time and integrated a stack at a time.
 
-The unit of work is a stack of models: random_models draws a whole stack in
-one set of array calls, model_state_overlaps integrates it in one pass, and
-verify_ns_inequality checks it against one SVD of T; random_model and
-model_state_overlap are their one-model cases.
-
-One rule, on the exact type, decides how a response is bounded and how it
-is integrated. A SignResponse, ClippedLinearResponse or ConstantResponse is
-bounded by construction. Anything else, a subclass included, is a black
-box: its ``__call__`` is sampled for |I| <= 1 on the nodes of sphere_grid(48)
-when its ModelComponent is built, and integrated on those same nodes.
-
-Integration strategy: the inner integral over n is a degree-2 spherical
-polynomial and reduces exactly to (4 pi / 3) * I(m) (m . T lambda). Sign and
-clipped responses share one axial profile, I(m) = clip(norm z, -1, 1) with
-z = m . axis, a sign being norm = inf. Against m . c the m-integral is
-(axis . c) 2 pi int clip(norm z, -1, 1) z dz, taken by Gauss-Legendre on
-panels split at the breakpoints, so it is exact; the profile is evaluated
-once over the panels of all axial components of a stack. An axis of None
-(a constant, or the zero clipped vector) contributes exactly 0.
+The n-integral reduces exactly to (4 pi / 3) I(m) (m . T lambda). Sign and
+clipped responses share I(m) = clip(norm z, -1, 1), z = m . axis (a sign
+is norm = inf), so the m-integral is (axis . T lambda) M with the moment
+M = 2 pi int clip(norm z, -1, 1) z dz, taken in closed form when a model
+or stack is built (0 for a constant).
 """
 
 from __future__ import annotations
@@ -47,12 +33,11 @@ from typing import Sequence
 import numpy as np
 
 from .criteria import tensor_norm_sq
-from .sphere import gauss_legendre_panels, integrate, sphere_grid, uniform_sphere
-from .states import correlation_fn, unit_vector
+from .sphere import uniform_sphere
+from .states import UNIT_NORM_TOL, correlation_fn, unit_vector
 from .svd3 import SchmidtForm, svd3
 
 WEIGHT_SUM_TOL = 1e-12
-RESPONSE_BOUND_TOL = 1e-12
 NS_RELATIVE_TOL = 1e-6
 MAX_COMPONENTS = 8
 
@@ -60,6 +45,8 @@ _NS_COEFF = 8.0 * math.pi ** 2 / 3.0
 _LHV_COEFF = 4.0 * math.pi ** 2
 _NORM_COEFF = 16.0 * math.pi ** 2 / 9.0
 _MC_BLOCK = 2 ** 16
+_THIRDS = np.array([1.0 / 3.0, 2.0 / 3.0])
+_BASE, _SLOPE = np.array([1.0, 0.05, 0.0]), np.array([0.0, 1.95, 0.0])
 
 
 class DegenerateTensor(ValueError):
@@ -121,8 +108,10 @@ class ConstantResponse:
         return np.full(np.shape(m)[:-1], self.value, dtype=float)
 
 
-# Matched on the exact type: a subclass is a black box like any callable.
-_BUILT_IN = (SignResponse, ClippedLinearResponse, ConstantResponse)
+# A response's kind is its index here, matched on the exact type.
+_KINDS = (SignResponse, ClippedLinearResponse, ConstantResponse)
+_SIGN, _CLIPPED, _CONSTANT = range(3)
+_COLUMNS = ("weights", "hidden", "kinds", "vectors", "values", "axes", "coeffs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,22 +124,20 @@ class ModelComponent:
         if not 0.0 <= self.weight < math.inf:
             raise ValueError(f"weight {self.weight!r} is not finite and non-negative")
         object.__setattr__(self, "hidden_state", unit_vector(self.hidden_state))
-        if type(self.response) in _BUILT_IN:
-            return
-        # Sampled on the very nodes model_state_overlaps integrates it on.
-        worst = float(np.max(np.abs(self.response(sphere_grid(48).points))))
-        if not worst <= 1.0 + RESPONSE_BOUND_TOL:
-            raise ValueError(f"response reaches {worst:.6f}, beyond 1")
+        if type(self.response) not in _KINDS:
+            raise TypeError("response must be a SignResponse, ClippedLinearResponse"
+                            f" or ConstantResponse, got {type(self.response).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
 class HiddenStateModel:
-    """Finite non-steering model: weighted pure hidden states with responses."""
+    """Finite non-steering model as read-only columns, a row per component:
+    ``weights``, ``hidden``, ``kinds`` (0 sign, 1 clipped, 2 constant),
+    ``vectors`` (sign axis, clipped vector, else 0), constant ``values`` (else
+    0), unit ``axes`` (0 for a constant or zero vector) and ``coeffs`` p_k M_k;
+    ``components`` gives the same model as objects."""
 
-    components: tuple[ModelComponent, ...]
-
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components):
+        comps = tuple(components)
         if not comps:
             raise ValueError("model needs at least one component")
         if any(type(c) is not ModelComponent for c in comps):
@@ -158,19 +145,64 @@ class HiddenStateModel:
         total = math.fsum(c.weight for c in comps)
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "components", comps)
+        rows = [(c.weight, c.hidden_state, *_parameters(c.response)) for c in comps]
+        columns = _columns(*map(np.array, zip(*rows)))
+        vars(self).update(zip(_COLUMNS, columns), _components=comps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: HiddenStateModel is immutable")
+
+    @property
+    def components(self) -> tuple[ModelComponent, ...]:
+        if self._components is not None:
+            return self._components
+        # A drawn model keeps only its columns and builds the objects per read.
+        rows = zip(self.weights.tolist(), self.hidden, self.kinds.tolist(),
+                   self.vectors, self.values.tolist())
+        return tuple(ModelComponent(w, h, _KINDS[k](c if k == _CONSTANT else v))
+                     for w, h, k, v, c in rows)
+
+
+def _parameters(r) -> tuple:
+    """(kind, vector, value): the sign axis or clipped vector, a constant's value."""
+    kind = _KINDS.index(type(r))
+    vector = r.axis if kind == _SIGN else getattr(r, "vector", (0.0, 0.0, 0.0))
+    return kind, vector, getattr(r, "value", 0.0)
+
+
+def _columns(weights, hidden, kinds, vectors, values) -> tuple:
+    """All columns, read-only, with the axes and p_k M_k derived."""
+    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+    sign = kinds == _SIGN
+    axes = vectors / np.where(sign | (norms == 0.0), 1.0, norms)[:, None]
+    columns = (weights, hidden, kinds, vectors, values, axes, weights * _moments(norms, sign))
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
+def _moments(norms: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """M = 2 pi int clip(norm z, -1, 1) z dz: 4 pi norm / 3 up to norm 1, then
+    4 pi (1/2 - 1/(6 norm^2)), and 2 pi for a sign (norm = inf); the tests
+    check M against Gauss-Legendre on panels split at +-1/norm."""
+    e = 1.0 / np.maximum(norms, 1.0)
+    return np.where(sign, 2.0 * math.pi, (4.0 * math.pi / 3.0) * np.minimum(norms, 1.0)
+                    + (2.0 * math.pi / 3.0) * (1.0 - e * e))
 
 
 def ns_correlation_fn(model: HiddenStateModel):
-    """Vectorized E_NS over arrays of paired settings, for quadrature."""
+    """E_NS = n . sum_k p_k I_k(m) lambda_k for 3-vectors or (N, 3) arrays m, n."""
+    signs = np.count_nonzero(model.kinds == _SIGN)
+    axial = np.argsort(model.kinds, kind="stable")[:np.count_nonzero(model.kinds != _CONSTANT)]
+    vectors, hidden, weights = model.vectors[axial], model.hidden[axial], model.weights[axial]
+    offset = model.values @ (model.weights[:, None] * model.hidden)  # the constants
 
     def ens(m, n):
-        total = np.zeros(np.shape(m)[:-1], dtype=float)
-        for c in model.components:
-            total += c.weight * np.asarray(c.response(m), dtype=float) * (
-                n @ c.hidden_state
-            )
-        return total
+        z = vectors @ np.asarray(m).T  # a row per axial component, signs first
+        z[:signs] = np.sign(z[:signs])
+        np.clip(z[signs:], -1.0, 1.0, out=z[signs:])
+        z *= hidden @ np.asarray(n).T
+        return weights @ z + n @ offset
 
     return ens
 
@@ -209,56 +241,17 @@ def model_state_overlap(tensor, model: HiddenStateModel) -> float:
 
 
 def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[float]:
-    """(E_Q, E_NS) of each model, with the n-integral done analytically.
-
-    The sign and clipped responses of all models go through one exact
-    panel pass on clip(norm z, -1, 1), and each model's terms are summed on
-    their own. A black box is integrated through its ``__call__`` on the
-    sphere_grid(48) nodes it was checked on, which loses digits at a jump.
-    """
-    block = tensor.block
-    comps = [c for model in models for c in model.components]
-    terms = [0.0] * len(comps)
-    axial = []
-    for k, comp in enumerate(comps):
-        response = comp.response
-        if type(response) in _BUILT_IN:
-            if response.axis is not None:
-                axial.append(k)
-            continue
-        c = block @ comp.hidden_state
-        value = integrate(sphere_grid(48), lambda m: response(m) * (m @ c))
-        terms[k] = comp.weight * value
-    if axial:
-        values = _axial_terms(block, [comps[k] for k in axial]).tolist()
-        for k, value in zip(axial, values):
-            terms[k] = value
-    overlaps = []
-    stop = 0
-    for model in models:
-        start, stop = stop, stop + len(model.components)
-        overlaps.append((4.0 * math.pi / 3.0) * math.fsum(terms[start:stop]))
-    return overlaps
-
-
-def _axial_terms(block: np.ndarray, comps: list[ModelComponent]) -> np.ndarray:
-    """p_k (a_k . T lambda_k) 2 pi int clip(norm_k z, -1, 1) z dz, k axial."""
-    edges = [(-1.0, *c.response.breakpoints, 1.0) for c in comps]
-    panels = np.array([len(e) - 1 for e in edges])
-    # One row of nodes per panel, each component's rows in a consecutive run.
-    z, node_weights = gauss_legendre_panels(
-        np.array([x for e in edges for x in e[:-1]]),
-        np.array([x for e in edges for x in e[1:]]), 6)
-    norms = np.repeat([c.response.norm for c in comps], panels)[:, None]
-    # A sign response's norm is inf; its split at 0 keeps every node off
-    # z = 0, where inf * 0 would be NaN.
-    f = np.minimum(np.maximum(norms * z, -1.0), 1.0)
-    panel_sums = (node_weights * f * z).sum(axis=1)
-    moments = 2.0 * math.pi * np.add.reduceat(panel_sums, panels.cumsum() - panels)
-    axes = np.array([c.response.axis for c in comps])
-    hidden = np.array([c.hidden_state for c in comps])
-    weights = np.array([c.weight for c in comps])
-    return weights * moments * ((axes @ block) * hidden).sum(axis=1)
+    """(E_Q, E_NS) of each model: the terms p_k M_k (a_k . T lambda_k) of all
+    models in one product over their stacked columns, summed per model by
+    math.fsum. Each M_k was taken when its model was built."""
+    if not models:
+        return []
+    axes, hidden, coeffs = (np.concatenate([getattr(model, name) for model in models])
+                            for name in ("axes", "hidden", "coeffs"))
+    terms = (coeffs * ((axes @ tensor.block) * hidden).sum(axis=1)).tolist()
+    stops = np.cumsum([len(model.coeffs) for model in models]).tolist()
+    return [(4.0 * math.pi / 3.0) * math.fsum(terms[start:stop])
+            for start, stop in zip([0, *stops], stops)]
 
 
 def model_state_overlap_mc(tensor, model: HiddenStateModel, samples: int,
@@ -298,12 +291,8 @@ class NsInequalityCheck:
 
 def verify_ns_inequality(tensor, models: Sequence[HiddenStateModel]
                          ) -> list[NsInequalityCheck]:
-    """Check (E_Q, E_NS) <= (8 pi^2 / 3) T1 for each model of a sequence.
-
-    Every response was bounded when its component was built; T1 comes from
-    one SVD of T. The comparison allows a 1e-6 relative quadrature
-    tolerance.
-    """
+    """Check (E_Q, E_NS) <= (8 pi^2 / 3) T1, to a 1e-6 relative tolerance,
+    for each model of a sequence; T1 comes from one SVD of T."""
     bound = ns_bound(svd3(tensor.block))
     tolerance = NS_RELATIVE_TOL * bound + 1e-12
     return [NsInequalityCheck(lhs, bound, tolerance, lhs <= bound + tolerance)
@@ -318,29 +307,35 @@ def random_model(rng: np.random.Generator) -> HiddenStateModel:
 def random_models(rng: np.random.Generator, count: int) -> list[HiddenStateModel]:
     """``count`` random non-steering models for property testing.
 
-    Component counts uniform in 1..MAX_COMPONENTS, weights from a flat
-    simplex sample per model, hidden states uniform on the sphere, responses
-    drawn uniformly from the sign, clipped-linear (radius U(0.05, 2) along a
-    uniform axis) and constant (+-1) families. Broad enough to probe the
-    bound, not exhaustive. All models are drawn in one set of array calls.
+    Component counts uniform in 1..MAX_COMPONENTS, flat simplex weights,
+    uniform hidden states and responses drawn uniformly from the sign,
+    clipped-linear (radius U(0.05, 2) on a uniform axis) and constant (+-1)
+    kinds, in one set of array calls; each model is a slice of one set of
+    columns. Broad enough to probe the bound, not exhaustive.
     """
     sizes = rng.integers(1, MAX_COMPONENTS + 1, size=count)
     stops = sizes.cumsum()
-    total = int(sizes.sum())
+    starts, total = stops - sizes, int(sizes.sum())
     weights = rng.standard_exponential(total)  # normalised per model: Dirichlet(1)
-    weights /= np.add.reduceat(weights, stops - sizes).repeat(sizes)
-    hidden, axes = uniform_sphere(2 * total, rng).reshape(2, total, 3)
-    kind, radius, sign = rng.random((3, total)).tolist()  # U(0, 1) each
-    responses = [
-        SignResponse(axis) if k < 1.0 / 3.0
-        else ClippedLinearResponse((0.05 + 1.95 * r) * axis) if k < 2.0 / 3.0
-        else ConstantResponse(-1.0 if s < 0.5 else 1.0)
-        for k, axis, r, s in zip(kind, axes, radius, sign)
-    ]
-    comps = [ModelComponent(w, lam, r)
-             for w, lam, r in zip(weights.tolist(), hidden, responses)]
-    return [HiddenStateModel(tuple(comps[stop - size:stop]))
-            for size, stop in zip(sizes.tolist(), stops.tolist())]
+    weights /= np.add.reduceat(weights, starts).repeat(sizes)
+    points = uniform_sphere(2 * total, rng)
+    kind, radius, sign = rng.random((3, total))  # U(0, 1) each
+    if not (weights.min(initial=0.0) >= 0.0  # NaN fails too
+            and np.abs(np.add.reduceat(weights, starts) - 1.0).max(initial=0.0)
+            <= WEIGHT_SUM_TOL):
+        raise ValueError("weights are not finite, non-negative and summing to 1")
+    defect = np.abs(np.sqrt(np.einsum("ij,ij->i", points, points)) - 1.0).max(initial=0.0)
+    if not defect <= UNIT_NORM_TOL:
+        raise ValueError(f"not a unit vector, |norm - 1| = {defect:.3e}")
+    kinds = _THIRDS.searchsorted(kind, "right")  # sign, clipped, constant
+    radius = _BASE[kinds] + _SLOPE[kinds] * radius  # 1, U(0.05, 2) and 0
+    hidden, axes = points.reshape(2, total, 3)
+    columns = _columns(weights, hidden, kinds, radius[:, None] * axes,
+                       np.copysign(kinds == _CONSTANT, sign - 0.5))  # -1 below 1/2
+    models = [object.__new__(HiddenStateModel) for _ in range(count)]
+    for model, start, stop in zip(models, starts.tolist(), stops.tolist()):
+        vars(model).update(zip(_COLUMNS, (c[start:stop] for c in columns)), _components=None)
+    return models
 
 
 def _direction_grid(step_deg: float) -> np.ndarray:

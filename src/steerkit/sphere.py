@@ -7,7 +7,7 @@ polar range can be split into panels at cos(theta) breakpoints, which
 restores exactness for integrands with kinks or jumps on latitude circles.
 
 gauss_legendre_panels maps the nodes onto many panels at once; it builds
-these rules, cached and shared read-only, and the oracle's axial moments.
+these rules, cached and shared read-only.
 """
 
 from __future__ import annotations

@@ -85,10 +85,14 @@ class DensityMatrix4:
         herm_defect = float(np.abs(m - m.conj().T).max())
         if herm_defect > HERMITICITY_TOL:
             violations.append(Violation("NotHermitian", herm_defect))
-        trace_defect = abs(complex(m.trace()) - 1.0)
+        # Halved, as m + m^H overflows past ~9e307. The trace is summed in numpy's
+        # pairwise order but in Python floats, where an overflow is a quiet inf.
+        h = 0.5 * m
+        d = h.diagonal().tolist()
+        trace_defect = 2.0 * abs((d[0] + d[1]) + (d[2] + d[3]) - 0.5)
         if trace_defect > TRACE_TOL:
             violations.append(Violation("TraceNotOne", trace_defect))
-        min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+        min_eig = float(np.linalg.eigvalsh(h + h.conj().T)[0])
         if min_eig < -PSD_TOL:
             violations.append(Violation("NotPositive", min_eig))
         if violations:

@@ -177,6 +177,22 @@ def test_analyze_deeply_nested_document(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("entry, diagonal", [(9e307, 0.25), (0.0, 1e308)])
+def test_analyze_overflowing_document(tmp_path, entry, diagonal):
+    # Finite entries whose sum m + m^H overflows: off-diagonal cells of 9e307
+    # on a maximally mixed diagonal, and a diagonal of four 1e308 entries.
+    # A fresh interpreter shows the whole stderr, warnings included.
+    matrix = [[[diagonal if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    matrix[0][1] = matrix[1][0] = [entry, 0.0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    proc = run_process("analyze", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invalid input: not a valid two-qubit state:")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/state.json")
     assert code == 1

@@ -68,27 +68,23 @@ def test_model_weight_validation():
         sk.HiddenStateModel(())
 
 
-def test_unbounded_black_box_response_caught():
-    with pytest.raises(ValueError):
-        single_component_model(Z, lambda m: 2.0 * np.ones(len(m)))
-
-
-def test_nan_black_box_response_caught():
-    with pytest.raises(ValueError):
-        single_component_model(Z, lambda m: np.full(len(m), np.nan))
-
-
 def test_unbounded_response_never_reaches_an_overlap():
-    # The bound is checked where the component is built, so neither overlap
-    # route can be handed a model whose response leaves [-1, 1].
+    # Only the three built-in kinds, matched on the exact type, can be part
+    # of a component, so neither overlap route can be handed a model whose
+    # response leaves [-1, 1]: not a callable, not a subclass, and not a
+    # stand-in that declares a built-in's attributes.
+    class LoudSign(sk.SignResponse):
+        def __call__(self, m):
+            return 3.0 * super().__call__(m)
+
+    stand_in = SimpleNamespace(axis=Z, norm=np.inf, breakpoints=(0.0,), vector=3.0 * Z)
     rng = np.random.default_rng(5)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    for response in (lambda m: 3.0 * (np.asarray(m) @ Z),
-                     lambda m: np.full(len(m), -1.5)):
-        with pytest.raises(ValueError, match="beyond 1"):
+    for response in (lambda m: 3.0 * (np.asarray(m) @ Z), LoudSign(Z), stand_in):
+        with pytest.raises(TypeError):
             model = single_component_model(Z, response)
             sk.model_state_overlap(tensor, model)
-        with pytest.raises(ValueError, match="beyond 1"):
+        with pytest.raises(TypeError):
             model = single_component_model(Z, response)
             sk.model_state_overlap_mc(tensor, model, 1000, rng)
 
@@ -107,83 +103,6 @@ def test_builtin_responses_not_sampled(monkeypatch):
     checks = sk.verify_ns_inequality(tensor, models)
     assert len(checks) == 51
     assert all(check.holds for check in checks)
-
-
-def test_builtin_subclass_response_still_sampled():
-    class LoudSign(sk.SignResponse):
-        def __call__(self, m):
-            return 2.0 * super().__call__(m)
-
-    with pytest.raises(ValueError):
-        single_component_model(Z, LoudSign(Z))
-
-
-def test_black_box_checked_on_the_nodes_it_is_integrated_on():
-    # A response of 5 sign(m . u) on the latitude rings of sphere_grid(48),
-    # the rule black boxes are integrated on, and sign(m . u) elsewhere:
-    # accepted unchecked, it would give 5 times the Werner(1) NS bound.
-    schmidt = sk.svd3(sk.pauli_expansion(sk.werner(1.0)).block)
-    rings = np.unique(sk.sphere_grid(48).points[:, 2])
-
-    def spiked(m):
-        m = np.asarray(m)
-        on_ring = np.isin(m[..., 2], rings)
-        return np.where(on_ring, 5.0, 1.0) * np.sign(m @ schmidt.u[0])
-
-    with pytest.raises(ValueError, match="beyond 1"):
-        single_component_model(schmidt.v[0], spiked)
-
-
-def test_subclass_response_integrated_as_called():
-    # A subclass is a black box: the quadrature integrates the __call__ that
-    # was sampled and that Monte Carlo uses, not the built-in clip formula.
-    class Negated(sk.SignResponse):
-        def __call__(self, m):
-            return -super().__call__(m)
-
-    tensor = sk.pauli_expansion(sk.werner(1.0))
-    schmidt = sk.svd3(tensor.block)
-    model = single_component_model(schmidt.v[0], Negated(schmidt.u[0]))
-    quadrature = sk.model_state_overlap(tensor, model)
-    rng = np.random.default_rng(22)
-    estimate, stderr = sk.model_state_overlap_mc(tensor, model, 200_000, rng)
-    assert abs(quadrature - estimate) <= 3.0 * stderr
-    assert quadrature < 0.0
-
-
-class _ForeignSign:
-    # Declares an axis and breakpoints like a built-in, but its profile is
-    # not its response.
-    breakpoints = (0.0,)
-
-    def __init__(self, axis):
-        self.axis = axis
-
-    def __call__(self, m):
-        return np.sign(np.asarray(m) @ self.axis)
-
-    def profile(self, z):
-        return 5.0 * np.sign(z)
-
-
-class _LoudProfileSign(sk.SignResponse):
-    def profile(self, z):
-        return 5.0 * np.sign(z)
-
-
-@pytest.mark.parametrize("cls", [_ForeignSign, _LoudProfileSign])
-def test_declared_profile_outside_built_ins_ignored(cls):
-    # Only the built-in types are integrated by formula; a declared profile
-    # of 5 sign(z), if used, would give 5 times the saturating overlap.
-    tensor = sk.pauli_expansion(sk.werner(1.0))
-    schmidt = sk.svd3(tensor.block)
-    lam, axis = schmidt.v[0], schmidt.u[0]
-    declared = sk.model_state_overlap(
-        tensor, single_component_model(lam, sk.SignResponse(axis)))
-    model = single_component_model(lam, cls(axis))
-    assert sk.model_state_overlap(tensor, model) == pytest.approx(declared, abs=5e-2)
-    (check,) = sk.verify_ns_inequality(tensor, [model])
-    assert check.holds
 
 
 def test_sign_response_rejects_nan_axis():
@@ -210,7 +129,7 @@ def test_component_rejects_non_finite_weight():
 
 
 def test_model_accepts_only_exact_components():
-    # A stand-in, or a subclass that skips the sampling in __post_init__,
+    # A stand-in, or a subclass that skips the checks in __post_init__,
     # would hand an unbounded response to every overlap route.
     class Unchecked(sk.ModelComponent):
         def __post_init__(self):
@@ -456,6 +375,25 @@ def test_axial_moments_match_closed_forms():
         assert abs(lhs - FOUR_PI_3 * moment) <= 1e-14 * FOUR_PI_3 * moment, moment
 
 
+def test_moments_match_panel_quadrature():
+    # The closed-form moments against Gauss-Legendre of order 6 on panels
+    # split at +-1/norm (at 0 for a sign), exact for the piecewise
+    # polynomial clip(norm z, -1, 1) z up to rounding.
+    rng = np.random.default_rng(27)
+    norms = [*np.linspace(0.0, 2.0, 401), *rng.uniform(0.0, 2.0, 200),
+             1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-9, np.inf]
+    for norm in norms:
+        if np.isinf(norm):
+            response, edges = sk.SignResponse(Z), [-1.0, 0.0, 1.0]
+        else:
+            response = sk.ClippedLinearResponse(norm * Z)
+            edges = [-1.0, *response.breakpoints, 1.0]
+        z, w = sk.sphere.gauss_legendre_panels(np.array(edges[:-1]), np.array(edges[1:]), 6)
+        quadrature = 2.0 * np.pi * float((w * np.clip(norm * z, -1.0, 1.0) * z).sum())
+        (moment,) = single_component_model(Z, response).coeffs
+        assert abs(moment - quadrature) <= 1e-15 * max(quadrature, 1.0), norm
+
+
 @pytest.mark.parametrize("axis", [
     (1e-7, 0.0, -1.0), (3e-7, 2e-7, -1.0), (-1e-7, 1e-7, -1.0),
     (1e-7, 0.0, 1.0), (3e-7, -2e-7, 1.0), (1e-9, 1e-9, -1.0),
@@ -475,23 +413,6 @@ def test_overlap_axes_near_poles(axis):
     gain = 4.0 * np.pi * (0.5 - 1.0 / (6.0 * 1.5**2))
     assert abs(sk.model_state_overlap(tensor, clipped)
                - FOUR_PI_3 * gain * projection) <= 1e-15 * bound
-
-
-def test_overlap_black_box_fallback_is_approximate():
-    rng = np.random.default_rng(10)
-    block = 0.8 * rng.uniform(-1, 1, size=(3, 3))
-    tensor = tensor_from_block(block)
-    lam = sk.random_unit_vector(rng)
-    w = sk.random_unit_vector(rng)
-    declared = sk.model_state_overlap(
-        tensor, single_component_model(lam, sk.SignResponse(w))
-    )
-    black_box = sk.model_state_overlap(
-        tensor, single_component_model(lam, lambda m: np.sign(np.asarray(m) @ w))
-    )
-    # an undeclared kink costs digits but must still be in the ballpark
-    assert black_box == pytest.approx(declared, abs=5e-2)
-    assert abs(black_box - declared) > 1e-8
 
 
 def test_overlap_agrees_with_full_product_quadrature():
@@ -573,12 +494,10 @@ def test_random_model_is_a_stack_of_one():
 
 def _extra_model(rng):
     # Components the random draw never makes: a response in [-1, 1] that is
-    # constant but not +-1, a zero clipped vector and a black box.
-    v = sk.random_unit_vector(rng)
+    # constant but not +-1, and a zero clipped vector.
     responses = [sk.ConstantResponse(rng.uniform(-1.0, 1.0)),
-                 sk.ClippedLinearResponse(np.zeros(3)),
-                 lambda m: np.tanh(1.5 * (np.asarray(m) @ v))]
-    weights = rng.standard_exponential(3)
+                 sk.ClippedLinearResponse(np.zeros(3))]
+    weights = rng.standard_exponential(2)
     return sk.HiddenStateModel(tuple(
         sk.ModelComponent(w, sk.random_unit_vector(rng), r)
         for w, r in zip((weights / weights.sum()).tolist(), responses)))
@@ -596,6 +515,72 @@ def test_model_state_overlaps_match_single_calls():
         for model, value in zip(models, stacked):
             assert abs(value - sk.model_state_overlap(tensor, model)) <= 1e-15 * bound
     assert sk.model_state_overlaps(tensor, []) == []
+
+
+def _closed_form_overlap(block, model):
+    # Per component, the moments of test_overlap_*_closed_form: sign 2 pi,
+    # clip(r z) 4 pi r / 3 up to r = 1 and 4 pi (1/2 - 1/(6 r^2)) above,
+    # constant 0; each times p (axis . T lambda), all times 4 pi / 3.
+    total = 0.0
+    for kind, weight, lam, vector in zip(model.kinds, model.weights, model.hidden,
+                                         model.vectors):
+        r = float(np.linalg.norm(vector))
+        if kind == 0:
+            moment = 2.0 * np.pi
+        elif kind == 1:
+            moment = (4.0 * np.pi * r / 3.0 if r <= 1.0
+                      else 4.0 * np.pi * (0.5 - 1.0 / (6.0 * r * r)))
+        else:
+            continue
+        total += weight * moment * float(vector @ block @ lam) / (r if kind == 1 else 1.0)
+    return FOUR_PI_3 * total
+
+
+def test_random_models_build_no_objects(monkeypatch):
+    # The draw goes from arrays to columns; no component or response object
+    # is built on the way, and the overlaps still meet the closed forms.
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} was built")
+
+    for cls in (sk.ModelComponent, sk.SignResponse, sk.ClippedLinearResponse,
+                sk.ConstantResponse):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    rng = np.random.default_rng(23)
+    models = sk.random_models(rng, 1000)
+    assert {int(k) for m in models for k in m.kinds} == {0, 1, 2}
+    for _ in range(3):
+        tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+        bound = sk.ns_bound(sk.svd3(tensor.block))
+        for model, value in zip(models, sk.model_state_overlaps(tensor, models)):
+            assert abs(value - _closed_form_overlap(tensor.block, model)) <= 1e-12 * bound
+
+
+def test_model_from_its_components_has_the_same_overlaps():
+    rng = np.random.default_rng(24)
+    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    models = [*sk.random_models(rng, 300), _extra_model(rng)]
+    rebuilt = [sk.HiddenStateModel(model.components) for model in models]
+    assert sk.model_state_overlaps(tensor, rebuilt) == sk.model_state_overlaps(tensor, models)
+    for model, copy in zip(models, rebuilt):
+        assert sk.model_state_overlap(tensor, copy) == sk.model_state_overlap(tensor, model)
+
+
+def test_model_columns_are_read_only():
+    model = sk.random_model(np.random.default_rng(25))
+    with pytest.raises(AttributeError):
+        model.coeffs = np.zeros(len(model.coeffs))
+    for name in ("weights", "hidden", "kinds", "vectors", "values", "axes", "coeffs"):
+        with pytest.raises(ValueError):
+            getattr(model, name)[0] = 0.0
+
+
+def test_random_models_check_their_draw(monkeypatch):
+    # The draw's hidden states and axes are checked for unit norm once per
+    # stack, as a hand-built component's are when it is built.
+    draw = sk.oracle.uniform_sphere
+    monkeypatch.setattr(sk.oracle, "uniform_sphere", lambda n, rng: 1.001 * draw(n, rng))
+    with pytest.raises(ValueError, match="not a unit vector"):
+        sk.random_models(np.random.default_rng(26), 50)
 
 
 # --- the bound and its saturation ------------------------------------------------

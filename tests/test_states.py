@@ -59,6 +59,17 @@ def test_non_finite_entry_rejected(bad):
     assert [v.invariant for v in exc.value.violations] == ["NonFinite"]
 
 
+@pytest.mark.parametrize("entry, diagonal", [(9e307, 0.25), (0.0, 1e308)])
+def test_overflowing_entries_rejected(entry, diagonal):
+    # m + m^H overflows to inf on both matrices; the Hermitian part is taken
+    # as 0.5 m + 0.5 m^H, so LAPACK sees finite entries and the state is
+    # refused by its invariants, never by a LinAlgError.
+    m = np.eye(4, dtype=complex) * diagonal
+    m[0, 1] = m[1, 0] = entry
+    with pytest.raises(sk.StateValidationError):
+        sk.validate_state(m)
+
+
 def test_validation_error_is_value_error():
     with pytest.raises(ValueError):
         sk.validate_state(np.diag([2.0, -1.0, 0.0, 0.0]))
