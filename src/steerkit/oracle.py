@@ -27,7 +27,7 @@ or stack is built (0 for a constant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,8 +45,6 @@ _NS_COEFF = 8.0 * math.pi ** 2 / 3.0
 _LHV_COEFF = 4.0 * math.pi ** 2
 _NORM_COEFF = 16.0 * math.pi ** 2 / 9.0
 _MC_BLOCK = 2 ** 16
-_THIRDS = np.array([1.0 / 3.0, 2.0 / 3.0])
-_BASE, _SLOPE = np.array([1.0, 0.05, 0.0]), np.array([0.0, 1.95, 0.0])
 
 
 class DegenerateTensor(ValueError):
@@ -58,8 +56,6 @@ class SignResponse:
     """I(m) = sign(m . axis); jumps across the plane orthogonal to axis."""
 
     axis: np.ndarray
-    breakpoints = (0.0,)
-    norm = math.inf  # the infinite-slope limit of clip(norm * z, -1, 1)
 
     def __post_init__(self):
         object.__setattr__(self, "axis", unit_vector(self.axis))
@@ -73,21 +69,13 @@ class ClippedLinearResponse:
     """I(m) = clip(m . vector, -1, 1); kinks appear once |vector| > 1."""
 
     vector: np.ndarray
-    norm: float = field(init=False)
-    axis: np.ndarray | None = field(init=False)
-    breakpoints: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         v = np.array(self.vector, dtype=float)
-        norm = math.sqrt(v.dot(v)) if v.shape == (3,) else math.nan
-        if not norm <= 2.0 + 1e-12:
+        if not (v.shape == (3,) and math.sqrt(v.dot(v)) <= 2.0 + 1e-12):
             raise ValueError("vector must be a 3-vector with norm <= 2")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
-        object.__setattr__(self, "norm", norm)
-        object.__setattr__(self, "axis", v / norm if norm > 0.0 else None)
-        bps = (-1.0 / norm, 1.0 / norm) if norm > 1.0 else ()
-        object.__setattr__(self, "breakpoints", bps)
 
     def __call__(self, m):
         return np.minimum(np.maximum(np.asarray(m) @ self.vector, -1.0), 1.0)
@@ -98,7 +86,6 @@ class ConstantResponse:
     """I(m) = value, independent of the setting."""
 
     value: float
-    axis = None
 
     def __post_init__(self):
         if not abs(self.value) <= 1.0:
@@ -134,7 +121,7 @@ class HiddenStateModel:
     ``weights``, ``hidden``, ``kinds`` (0 sign, 1 clipped, 2 constant),
     ``vectors`` (sign axis, clipped vector, else 0), constant ``values`` (else
     0), unit ``axes`` (0 for a constant or zero vector) and ``coeffs`` p_k M_k;
-    ``components`` gives the same model as objects."""
+    ``components`` builds the same model as objects."""
 
     def __init__(self, components):
         comps = tuple(components)
@@ -146,17 +133,13 @@ class HiddenStateModel:
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
         rows = [(c.weight, c.hidden_state, *_parameters(c.response)) for c in comps]
-        columns = _columns(*map(np.array, zip(*rows)))
-        vars(self).update(zip(_COLUMNS, columns), _components=comps)
+        _set_columns(self, _columns(*map(np.array, zip(*rows))))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: HiddenStateModel is immutable")
 
     @property
     def components(self) -> tuple[ModelComponent, ...]:
-        if self._components is not None:
-            return self._components
-        # A drawn model keeps only its columns and builds the objects per read.
         rows = zip(self.weights.tolist(), self.hidden, self.kinds.tolist(),
                    self.vectors, self.values.tolist())
         return tuple(ModelComponent(w, h, _KINDS[k](c if k == _CONSTANT else v))
@@ -171,23 +154,28 @@ def _parameters(r) -> tuple:
 
 
 def _columns(weights, hidden, kinds, vectors, values) -> tuple:
-    """All columns, read-only, with the axes and p_k M_k derived."""
-    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+    """All columns, read-only, with the axes and p_k M_k derived. The moment
+    M = 2 pi int clip(norm z, -1, 1) z dz is 4 pi norm / 3 up to norm 1, then
+    2 pi (1 - 1/(3 norm^2)), and 2 pi for a sign (norm = inf); the tests check
+    it against Gauss-Legendre on panels split at +-1/norm."""
     sign = kinds == _SIGN
-    axes = vectors / np.where(sign | (norms == 0.0), 1.0, norms)[:, None]
-    columns = (weights, hidden, kinds, vectors, values, axes, weights * _moments(norms, sign))
+    norms = np.sqrt(np.add.reduce(vectors * vectors, 1))
+    u = np.maximum(norms, 1.0)
+    moments = ((4.0 * math.pi / 3.0) * np.minimum(norms, 1.0)
+               + (2.0 * math.pi / 3.0 - (2.0 * math.pi / 3.0) / (u * u)))
+    moments[sign] = 2.0 * math.pi
+    norms[sign | (norms == 0.0)] = 1.0  # a sign's axis and a zero vector stay as they are
+    columns = (weights, hidden, kinds, vectors, values, vectors / norms[:, None],
+               weights * moments)
     for column in columns:
         column.setflags(write=False)
     return columns
 
 
-def _moments(norms: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """M = 2 pi int clip(norm z, -1, 1) z dz: 4 pi norm / 3 up to norm 1, then
-    4 pi (1/2 - 1/(6 norm^2)), and 2 pi for a sign (norm = inf); the tests
-    check M against Gauss-Legendre on panels split at +-1/norm."""
-    e = 1.0 / np.maximum(norms, 1.0)
-    return np.where(sign, 2.0 * math.pi, (4.0 * math.pi / 3.0) * np.minimum(norms, 1.0)
-                    + (2.0 * math.pi / 3.0) * (1.0 - e * e))
+def _set_columns(model: HiddenStateModel, columns) -> HiddenStateModel:
+    """Give a model its columns: the one way both constructors fill one."""
+    vars(model).update(zip(_COLUMNS, columns))
+    return model
 
 
 def ns_correlation_fn(model: HiddenStateModel):
@@ -310,32 +298,35 @@ def random_models(rng: np.random.Generator, count: int) -> list[HiddenStateModel
     Component counts uniform in 1..MAX_COMPONENTS, flat simplex weights,
     uniform hidden states and responses drawn uniformly from the sign,
     clipped-linear (radius U(0.05, 2) on a uniform axis) and constant (+-1)
-    kinds, in one set of array calls; each model is a slice of one set of
-    columns. Broad enough to probe the bound, not exhaustive.
+    kinds. The whole stack comes from one set of generator calls, and each
+    model is a slice of one set of columns. Broad enough to probe the bound,
+    not exhaustive.
     """
+    if count == 0:
+        return []  # an empty draw leaves the generator as it was
     sizes = rng.integers(1, MAX_COMPONENTS + 1, size=count)
     stops = sizes.cumsum()
-    starts, total = stops - sizes, int(sizes.sum())
+    starts, total = stops - sizes, int(stops[-1])
     weights = rng.standard_exponential(total)  # normalised per model: Dirichlet(1)
     weights /= np.add.reduceat(weights, starts).repeat(sizes)
     points = uniform_sphere(2 * total, rng)
-    kind, radius, sign = rng.random((3, total))  # U(0, 1) each
-    if not (weights.min(initial=0.0) >= 0.0  # NaN fails too
-            and np.abs(np.add.reduceat(weights, starts) - 1.0).max(initial=0.0)
-            <= WEIGHT_SUM_TOL):
+    kind, radius, sign = rng.random((3, total)).tolist()  # U(0, 1) each
+    if not (weights.min() >= 0.0  # NaN fails too
+            and all(abs(total_weight - 1.0) <= WEIGHT_SUM_TOL
+                    for total_weight in np.add.reduceat(weights, starts).tolist())):
         raise ValueError("weights are not finite, non-negative and summing to 1")
-    defect = np.abs(np.sqrt(np.einsum("ij,ij->i", points, points)) - 1.0).max(initial=0.0)
+    defect = np.abs(np.sqrt(np.add.reduce(points * points, 1)) - 1.0).max()
     if not defect <= UNIT_NORM_TOL:
         raise ValueError(f"not a unit vector, |norm - 1| = {defect:.3e}")
-    kinds = _THIRDS.searchsorted(kind, "right")  # sign, clipped, constant
-    radius = _BASE[kinds] + _SLOPE[kinds] * radius  # 1, U(0.05, 2) and 0
-    hidden, axes = points.reshape(2, total, 3)
-    columns = _columns(weights, hidden, kinds, radius[:, None] * axes,
-                       np.copysign(kinds == _CONSTANT, sign - 0.5))  # -1 below 1/2
-    models = [object.__new__(HiddenStateModel) for _ in range(count)]
-    for model, start, stop in zip(models, starts.tolist(), stops.tolist()):
-        vars(model).update(zip(_COLUMNS, (c[start:stop] for c in columns)), _components=None)
-    return models
+    hidden, axes = points[:total], points[total:]
+    rows = [(_SIGN, 1.0, 0.0) if k < 1.0 / 3.0
+            else (_CLIPPED, 0.05 + 1.95 * r, 0.0) if k < 2.0 / 3.0
+            else (_CONSTANT, 0.0, -1.0 if s < 0.5 else 1.0)
+            for k, r, s in zip(kind, radius, sign)]
+    kinds, scale, values = map(np.array, zip(*rows))
+    columns = _columns(weights, hidden, kinds, scale[:, None] * axes, values)
+    return [_set_columns(object.__new__(HiddenStateModel), [c[start:stop] for c in columns])
+            for start, stop in zip(starts.tolist(), stops.tolist())]
 
 
 def _direction_grid(step_deg: float) -> np.ndarray:

@@ -129,4 +129,4 @@ def projection_norm_constant(grid: SphereGrid) -> float:
 def uniform_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
     """n points drawn uniformly on the unit sphere."""
     v = rng.normal(size=(n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))  # np.linalg.norm, inlined

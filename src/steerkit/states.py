@@ -85,8 +85,10 @@ class DensityMatrix4:
         herm_defect = float(np.abs(m - m.conj().T).max())
         if herm_defect > HERMITICITY_TOL:
             violations.append(Violation("NotHermitian", herm_defect))
-        # Halved, as m + m^H overflows past ~9e307. The trace is summed in numpy's
-        # pairwise order but in Python floats, where an overflow is a quiet inf.
+        # Halved, as m + m^H overflows past ~9e307. The trace is summed in Python
+        # floats, where an overflow is a quiet inf, as (d0 + d1) + (d2 + d3): the
+        # order of numpy's current complex reduce, so the defect keeps the bytes
+        # of abs(trace - 1) only while numpy keeps that order (a test pins it).
         h = 0.5 * m
         d = h.diagonal().tolist()
         trace_defect = 2.0 * abs((d[0] + d[1]) + (d[2] + d[3]) - 0.5)

@@ -27,24 +27,20 @@ def test_sign_response_values():
     assert resp(np.array([1.0, 0.0, 0.0])) == 0.0
     values = resp(np.array([[0, 0, 1], [0, 0, -1]], dtype=float))
     np.testing.assert_array_equal(values, [1.0, -1.0])
-    assert resp.breakpoints == (0.0,)
 
 
 def test_clipped_linear_response():
     resp = sk.ClippedLinearResponse(np.array([0.0, 0.0, 1.6]))
     assert resp(np.array([0.0, 0.0, 1.0])) == 1.0
     assert resp(np.array([0.0, 0.0, 0.5])) == pytest.approx(0.8)
-    lo, hi = resp.breakpoints
-    assert hi == pytest.approx(1.0 / 1.6)
-    assert lo == -hi
+    assert resp(np.array([0.0, -0.6, -0.8])) == -1.0  # past the kink at z = -1/1.6
     mild = sk.ClippedLinearResponse(np.array([0.0, 0.3, 0.4]))
-    assert mild.breakpoints == ()
+    assert mild(np.array([0.0, 0.6, 0.8])) == pytest.approx(0.5)  # no kink below norm 1
 
 
 def test_constant_response():
     resp = sk.ConstantResponse(-0.25)
     np.testing.assert_array_equal(resp(np.zeros((5, 3))), -0.25 * np.ones(5))
-    assert resp.axis is None
 
 
 def test_response_validation():
@@ -77,7 +73,7 @@ def test_unbounded_response_never_reaches_an_overlap():
         def __call__(self, m):
             return 3.0 * super().__call__(m)
 
-    stand_in = SimpleNamespace(axis=Z, norm=np.inf, breakpoints=(0.0,), vector=3.0 * Z)
+    stand_in = SimpleNamespace(axis=Z, vector=3.0 * Z)
     rng = np.random.default_rng(5)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
     for response in (lambda m: 3.0 * (np.asarray(m) @ Z), LoudSign(Z), stand_in):
@@ -149,48 +145,48 @@ def test_component_rejects_nan_hidden_state():
 
 def test_clipped_response_geometry_down_to_zero():
     tiny = sk.ClippedLinearResponse(np.array([1e-13, 0.0, 0.0]))
-    np.testing.assert_array_equal(tiny.axis, [1.0, 0.0, 0.0])
-    assert tiny.breakpoints == ()
     block = np.diag([0.5, -0.2, 0.1])
     model = single_component_model(np.array([0.6, 0.0, 0.8]), tiny)
+    np.testing.assert_array_equal(model.axes, [[1.0, 0.0, 0.0]])
     expected = FOUR_PI_3 * FOUR_PI_3 * 1e-13 * 0.5 * 0.6
     assert sk.model_state_overlap(tensor_from_block(block), model) == pytest.approx(
         expected, rel=1e-14
     )
     zero = sk.ClippedLinearResponse(np.zeros(3))
-    assert zero.axis is None
-    assert zero.breakpoints == ()
     model = single_component_model(Z, zero)
+    np.testing.assert_array_equal(model.axes, [[0.0, 0.0, 0.0]])
     assert sk.model_state_overlap(tensor_from_block(block), model) == 0.0
 
 
 @pytest.mark.parametrize("norm", [None, 0.05, 1.0, 1.0 + 1e-9, 2.0])
 def test_axial_response_is_the_clip_formula(norm):
-    # The overlap integrates clip(norm z, -1, 1) alone, so it must be the
-    # response itself on every setting, with z = m . axis. None is the sign,
-    # whose norm is inf.
+    # The overlap integrates clip(norm z, -1, 1), z = m . axis, on the axis
+    # and vector norm a model's columns hold, so that must be the response
+    # itself on every setting. None is the sign, whose norm is inf.
     rng = np.random.default_rng(18)
     for _ in range(20):
         axis = sk.random_unit_vector(rng)
         response = (sk.SignResponse(axis) if norm is None
                     else sk.ClippedLinearResponse(norm * axis))
+        model = single_component_model(Z, response)
+        slope = np.inf if norm is None else np.linalg.norm(model.vectors[0])
         m = sk.uniform_sphere(500, rng)
-        formula = np.clip(response.norm * (m @ response.axis), -1.0, 1.0)
+        formula = np.clip(slope * (m @ model.axes[0]), -1.0, 1.0)
         defect = np.abs(response(m) - formula)
         assert defect.max() <= 1e-15
 
 
 def test_rule_cache_stays_bounded():
-    # Every clipped response of norm above 1 has breakpoints of its own; a
-    # caller that builds rules on them must not grow the cache without bound.
+    # Every clipped response of norm r above 1 has kinks of its own, at
+    # z = +-1/r; a caller that builds rules split there must not grow the
+    # cache without bound.
     rng = np.random.default_rng(17)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
     for k in range(500):
-        response = sk.ClippedLinearResponse(
-            (1.1 + k / 1000.0) * sk.random_unit_vector(rng)
-        )
+        r = 1.1 + k / 1000.0
+        response = sk.ClippedLinearResponse(r * sk.random_unit_vector(rng))
         sk.model_state_overlap(tensor, single_component_model(Z, response))
-        sk.sphere_grid(6, response.breakpoints)
+        sk.sphere_grid(6, (-1.0 / r, 1.0 / r))
     info = sk.sphere._rule.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
@@ -387,7 +383,7 @@ def test_moments_match_panel_quadrature():
             response, edges = sk.SignResponse(Z), [-1.0, 0.0, 1.0]
         else:
             response = sk.ClippedLinearResponse(norm * Z)
-            edges = [-1.0, *response.breakpoints, 1.0]
+            edges = [-1.0, -1.0 / norm, 1.0 / norm, 1.0] if norm > 1.0 else [-1.0, 1.0]
         z, w = sk.sphere.gauss_legendre_panels(np.array(edges[:-1]), np.array(edges[1:]), 6)
         quadrature = 2.0 * np.pi * float((w * np.clip(norm * z, -1.0, 1.0) * z).sum())
         (moment,) = single_component_model(Z, response).coeffs
@@ -464,10 +460,11 @@ def test_random_models_contract():
             if isinstance(c.response, sk.SignResponse):
                 assert abs(np.linalg.norm(c.response.axis) - 1.0) <= 1e-12
             elif isinstance(c.response, sk.ClippedLinearResponse):
-                assert abs(np.linalg.norm(c.response.axis) - 1.0) <= 1e-12
                 assert 0.05 <= np.linalg.norm(c.response.vector) <= 2.0
             else:
                 assert c.response.value in (-1.0, 1.0)
+        axes = model.axes[model.kinds != 2]  # a constant has no axis
+        assert np.all(np.abs(np.linalg.norm(axes, axis=1) - 1.0) <= 1e-12)
     assert kinds == {sk.SignResponse, sk.ClippedLinearResponse, sk.ConstantResponse}
     assert {len(m.components) for m in models} == set(
         range(1, sk.oracle.MAX_COMPONENTS + 1))

@@ -70,6 +70,24 @@ def test_overflowing_entries_rejected(entry, diagonal):
         sk.validate_state(m)
 
 
+def test_trace_defect_is_numpys_trace():
+    # The defect is summed by hand from the halved diagonal; it must equal
+    # abs(trace - 1) as numpy sums the trace, bit for bit, on states off unit
+    # trace and on generic matrices, so a numpy that sums in another order
+    # shows here.
+    rng = np.random.default_rng(31)
+    for k in range(600):
+        if k % 2:
+            m = sk.random_density_matrix(rng).matrix * (1.0 + rng.uniform(-0.5, 0.5))
+        else:
+            m = 10.0 ** rng.uniform(-3, 3) * (rng.normal(size=(4, 4))
+                                             + 1j * rng.normal(size=(4, 4)))
+        with pytest.raises(sk.StateValidationError) as exc:
+            sk.validate_state(m)
+        defects = [v.magnitude for v in exc.value.violations if v.invariant == "TraceNotOne"]
+        assert defects == [abs(complex(m.trace()) - 1.0)]
+
+
 def test_validation_error_is_value_error():
     with pytest.raises(ValueError):
         sk.validate_state(np.diag([2.0, -1.0, 0.0, 0.0]))
