@@ -5,16 +5,13 @@ periodic rule in phi of n_phi = 2*n_theta points, so every spherical
 polynomial of total degree up to 2*n_theta - 1 integrates exactly. The
 polar range can be split into panels at cos(theta) breakpoints, which
 restores exactness for integrands with kinks or jumps on latitude circles.
-
-gauss_legendre_panels maps the nodes onto many panels at once; it builds
-these rules, cached and shared read-only.
+Each call builds a fresh rule whose arrays are read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,17 +46,16 @@ def sphere_grid(n_theta: int, breakpoints=()) -> SphereGrid:
     interval is split into separate Gauss-Legendre panels of order
     ``n_theta`` each; (0.0,) gives the hemispherical split.
     """
-    return _rule(n_theta, tuple(sorted(float(b) for b in breakpoints)))
-
-
-@lru_cache(maxsize=64)
-def _rule(n_theta: int, bps: tuple[float, ...]) -> SphereGrid:
+    bps = sorted(float(b) for b in breakpoints)
     if n_theta < 1:
         raise ValueError("n_theta must be at least 1")
     if any(not -1.0 < b < 1.0 for b in bps):
         raise ValueError("breakpoints must lie strictly inside (-1, 1)")
+    # One row of n_theta Gauss-Legendre nodes and weights per panel.
     edges = np.array((-1.0, *bps, 1.0))
-    u, wu = gauss_legendre_panels(edges[:-1], edges[1:], n_theta)
+    x, w = np.polynomial.legendre.leggauss(n_theta)  # numpy.polynomial loads on first use
+    half = (0.5 * np.diff(edges))[:, None]
+    u, wu = half * x + (0.5 * (edges[1:] + edges[:-1]))[:, None], half * w
     n_phi = 2 * n_theta
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     dphi = 2.0 * np.pi / n_phi
@@ -69,18 +65,6 @@ def _rule(n_theta: int, bps: tuple[float, ...]) -> SphereGrid:
     py = np.outer(sin_theta, np.sin(phi)).ravel()
     points = np.column_stack([px, py, np.repeat(u, n_phi)])
     return SphereGrid(points, np.repeat(wu * dphi, n_phi), n_theta)
-
-
-def gauss_legendre_panels(lo, hi, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of ``order``, one row per panel [lo, hi]."""
-    x, w = _leggauss(order)
-    half = (0.5 * (hi - lo))[:, None]
-    return half * x + (0.5 * (hi + lo))[:, None], half * w
-
-
-@lru_cache(maxsize=64)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)  # numpy.polynomial loads on first use
 
 
 def integrate(grid: SphereGrid, f) -> float:

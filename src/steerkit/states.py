@@ -82,14 +82,14 @@ class DensityMatrix4:
         if non_finite:
             raise StateValidationError((Violation("NonFinite", non_finite),))
         violations = []
-        herm_defect = float(np.abs(m - m.conj().T).max())
-        if herm_defect > HERMITICITY_TOL:
-            violations.append(Violation("NotHermitian", herm_defect))
-        # Halved, as m + m^H overflows past ~9e307. The trace is summed in Python
-        # floats, where an overflow is a quiet inf, as (d0 + d1) + (d2 + d3): the
-        # order of numpy's current complex reduce, so the defect keeps the bytes
+        # Halved, as m + m^H and m - m^H overflow past ~9e307. The trace is summed
+        # in Python floats, where an overflow is a quiet inf, as (d0 + d1) + (d2 + d3):
+        # the order of numpy's current complex reduce, so the defect keeps the bytes
         # of abs(trace - 1) only while numpy keeps that order (a test pins it).
         h = 0.5 * m
+        herm_defect = 2.0 * float(np.abs(h - h.conj().T).max())
+        if herm_defect > HERMITICITY_TOL:
+            violations.append(Violation("NotHermitian", herm_defect))
         d = h.diagonal().tolist()
         trace_defect = 2.0 * abs((d[0] + d[1]) + (d[2] + d[3]) - 0.5)
         if trace_defect > TRACE_TOL:
@@ -152,14 +152,14 @@ class CorrelationTensor:
 
 def unit_vector(v) -> np.ndarray:
     """Check that v is a unit 3-vector (measurement setting or pure hidden
-    state) and return it as a float array."""
-    a = np.asarray(v, dtype=float)
+    state) and return it as a read-only float copy."""
+    a = np.array(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
     defect = abs(math.sqrt(a.dot(a)) - 1.0)  # NaN fails the check below
     if not defect <= UNIT_NORM_TOL:
         raise ValueError(f"not a unit vector, |norm - 1| = {defect:.3e}")
-    return a
+    return _readonly(a)
 
 
 def pauli_expansion(state: DensityMatrix4) -> CorrelationTensor:

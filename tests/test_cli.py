@@ -177,13 +177,18 @@ def test_analyze_deeply_nested_document(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("entry, diagonal", [(9e307, 0.25), (0.0, 1e308)])
-def test_analyze_overflowing_document(tmp_path, entry, diagonal):
-    # Finite entries whose sum m + m^H overflows: off-diagonal cells of 9e307
-    # on a maximally mixed diagonal, and a diagonal of four 1e308 entries.
+@pytest.mark.parametrize("upper, lower, diagonal", [
+    pytest.param(9e307, 9e307, 0.25, id="9e+307-0.25"),
+    pytest.param(0.0, 0.0, 1e308, id="0.0-1e+308"),
+    pytest.param(1e308, -1e308, 0.25, id="1e+308--1e+308-0.25"),
+])
+def test_analyze_overflowing_document(tmp_path, upper, lower, diagonal):
+    # Finite entries whose sum m + m^H or difference m - m^H overflows:
+    # off-diagonal cells of 9e307 or of opposite signs near 1e308 on a
+    # maximally mixed diagonal, and a diagonal of four 1e308 entries.
     # A fresh interpreter shows the whole stderr, warnings included.
     matrix = [[[diagonal if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
-    matrix[0][1] = matrix[1][0] = [entry, 0.0]
+    matrix[0][1], matrix[1][0] = [upper, 0.0], [lower, 0.0]
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"matrix": matrix}))
     proc = run_process("analyze", str(path))

@@ -176,28 +176,17 @@ def test_axial_response_is_the_clip_formula(norm):
         assert defect.max() <= 1e-15
 
 
-def test_rule_cache_stays_bounded():
-    # Every clipped response of norm r above 1 has kinks of its own, at
-    # z = +-1/r; a caller that builds rules split there must not grow the
-    # cache without bound.
-    rng = np.random.default_rng(17)
-    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    for k in range(500):
-        r = 1.1 + k / 1000.0
-        response = sk.ClippedLinearResponse(r * sk.random_unit_vector(rng))
-        sk.model_state_overlap(tensor, single_component_model(Z, response))
-        sk.sphere_grid(6, (-1.0 / r, 1.0 / r))
-    info = sk.sphere._rule.cache_info()
-    assert info.maxsize is not None
-    assert info.currsize <= info.maxsize
-
-
-def test_declared_overlaps_build_no_rule():
+def test_declared_overlaps_build_no_rule(monkeypatch):
     # Clipped responses of norm above 1 each bring breakpoints of their own;
-    # none of them, nor sign or constant responses, needs a sphere rule.
+    # none of them, nor sign or constant responses, needs a sphere rule or
+    # any other quadrature.
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("an overlap ran a quadrature")
+
+    monkeypatch.setattr(sk.sphere, "sphere_grid", no_quadrature)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_quadrature)
     rng = np.random.default_rng(17)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    before = sk.sphere._rule.cache_info()
     for k in range(500):
         axis = sk.random_unit_vector(rng)
         response = (
@@ -206,8 +195,6 @@ def test_declared_overlaps_build_no_rule():
             else sk.ConstantResponse(1.0)
         )
         sk.model_state_overlap(tensor, single_component_model(Z, response))
-    after = sk.sphere._rule.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 # --- E_NS evaluation -----------------------------------------------------------
@@ -372,20 +359,22 @@ def test_axial_moments_match_closed_forms():
 
 
 def test_moments_match_panel_quadrature():
-    # The closed-form moments against Gauss-Legendre of order 6 on panels
-    # split at +-1/norm (at 0 for a sign), exact for the piecewise
-    # polynomial clip(norm z, -1, 1) z up to rounding.
+    # The closed-form moments against the sphere rule of order 6 split at
+    # +-1/norm (at 0 for a sign), exact for the piecewise polynomial
+    # clip(norm z, -1, 1) z up to rounding.
     rng = np.random.default_rng(27)
     norms = [*np.linspace(0.0, 2.0, 401), *rng.uniform(0.0, 2.0, 200),
              1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-9, np.inf]
     for norm in norms:
         if np.isinf(norm):
-            response, edges = sk.SignResponse(Z), [-1.0, 0.0, 1.0]
+            response, breakpoints = sk.SignResponse(Z), (0.0,)
         else:
             response = sk.ClippedLinearResponse(norm * Z)
-            edges = [-1.0, -1.0 / norm, 1.0 / norm, 1.0] if norm > 1.0 else [-1.0, 1.0]
-        z, w = sk.sphere.gauss_legendre_panels(np.array(edges[:-1]), np.array(edges[1:]), 6)
-        quadrature = 2.0 * np.pi * float((w * np.clip(norm * z, -1.0, 1.0) * z).sum())
+            breakpoints = (-1.0 / norm, 1.0 / norm) if norm > 1.0 else ()
+        quadrature = sk.integrate(
+            sk.sphere_grid(6, breakpoints),
+            lambda m: np.clip(norm * m[:, 2], -1.0, 1.0) * m[:, 2],
+        )
         (moment,) = single_component_model(Z, response).coeffs
         assert abs(moment - quadrature) <= 1e-15 * max(quadrature, 1.0), norm
 
@@ -569,6 +558,22 @@ def test_model_columns_are_read_only():
     for name in ("weights", "hidden", "kinds", "vectors", "values", "axes", "coeffs"):
         with pytest.raises(ValueError):
             getattr(model, name)[0] = 0.0
+
+
+def test_component_keeps_no_view_of_its_inputs():
+    # The hidden state and the sign axis are validated copies: scaling the
+    # caller's array after construction changes neither them nor the overlap.
+    h = np.array([0.0, 0.0, 1.0])
+    component = sk.ModelComponent(1.0, h, sk.SignResponse(h))
+    h *= -3.0
+    for v in (component.hidden_state, component.response.axis):
+        np.testing.assert_array_equal(v, Z)
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+    tensor = sk.pauli_expansion(sk.werner(1.0))
+    target = -8.0 * np.pi**2 / 3.0 * sk.svd3(tensor.block).sigma[0]
+    lhs = sk.model_state_overlap(tensor, sk.HiddenStateModel((component,)))
+    assert abs(lhs - target) <= 1e-12 * abs(target)
 
 
 def test_random_models_check_their_draw(monkeypatch):

@@ -107,10 +107,11 @@ def test_projection_norm_constant():
     assert abs(sk.projection_norm_constant(grid) - math.sqrt(3.0 * np.pi)) <= 1e-12
 
 
-def test_rules_are_shared_read_only():
+def test_rules_are_read_only():
     grid = sk.sphere_grid(6, (0.0,))
-    assert sk.sphere_grid(6, (0.0,)) is grid
-    assert sk.sphere_grid(6, [0.0]) is grid
+    again = sk.sphere_grid(6, [0.0])
+    np.testing.assert_array_equal(again.points, grid.points)
+    np.testing.assert_array_equal(again.weights, grid.weights)
     assert not grid.points.flags.writeable
     assert not grid.weights.flags.writeable
 

@@ -59,13 +59,18 @@ def test_non_finite_entry_rejected(bad):
     assert [v.invariant for v in exc.value.violations] == ["NonFinite"]
 
 
-@pytest.mark.parametrize("entry, diagonal", [(9e307, 0.25), (0.0, 1e308)])
-def test_overflowing_entries_rejected(entry, diagonal):
-    # m + m^H overflows to inf on both matrices; the Hermitian part is taken
-    # as 0.5 m + 0.5 m^H, so LAPACK sees finite entries and the state is
-    # refused by its invariants, never by a LinAlgError.
+@pytest.mark.parametrize("upper, lower, diagonal", [
+    pytest.param(9e307, 9e307, 0.25, id="9e+307-0.25"),
+    pytest.param(0.0, 0.0, 1e308, id="0.0-1e+308"),
+    pytest.param(1e308, -1e308, 0.25, id="1e+308--1e+308-0.25"),
+])
+def test_overflowing_entries_rejected(upper, lower, diagonal):
+    # m + m^H or m - m^H overflows to inf on these matrices; both are taken
+    # from the halved 0.5 m, so LAPACK sees finite entries, numpy warns of no
+    # overflow, and the state is refused by its invariants, never by a
+    # LinAlgError.
     m = np.eye(4, dtype=complex) * diagonal
-    m[0, 1] = m[1, 0] = entry
+    m[0, 1], m[1, 0] = upper, lower
     with pytest.raises(sk.StateValidationError):
         sk.validate_state(m)
 
