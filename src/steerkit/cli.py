@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
-from . import oracle, sphere
+from . import verify
 from .criteria import (
     Criterion,
     NoDetection,
@@ -26,16 +24,8 @@ from .criteria import (
     ladder,
     tensor_norm_sq,
 )
-from .families import ParameterOutOfRange, family_from_name, sweep, werner
-from .states import (
-    DensityMatrix4,
-    StateValidationError,
-    correlation_fn,
-    pauli_expansion,
-    random_density_matrix,
-    random_unit_vector,
-    validate_state,
-)
+from .families import ParameterOutOfRange, family_from_name, sweep
+from .states import DensityMatrix4, StateValidationError, pauli_expansion, validate_state
 from .svd3 import svd3
 
 EXIT_OK = 0
@@ -48,17 +38,6 @@ MAX_GRID_POINTS = 10**6  # a sweep holds about 480 B per point, so 0.5 GB here
 
 class DocumentError(ValueError):
     """State document is structurally malformed."""
-
-
-def state_to_document(state: DensityMatrix4, label: str | None = None) -> dict:
-    """Serialize a state as nested [re, im] pairs, row-major."""
-    matrix = [
-        [[float(z.real), float(z.imag)] for z in row] for row in state.matrix
-    ]
-    doc: dict = {"matrix": matrix}
-    if label is not None:
-        doc["label"] = label
-    return doc
 
 
 def parse_state_document(data: dict) -> tuple[DensityMatrix4, str]:
@@ -211,148 +190,9 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-# --- verification suite -----------------------------------------------------
-
-
-class _Check:
-    def __init__(self, name: str, target: str, value: float, defect: float,
-                 tol: float):
-        self.name = name
-        self.target = target
-        self.value = value
-        self.defect = defect
-        self.passed = defect <= tol
-        self.tol = tol
-
-
-def _perturbed(grid: sphere.SphereGrid) -> sphere.SphereGrid:
-    # Test hook: move weight between two nodes, keeping the 4*pi sum.
-    w = grid.weights.copy()
-    delta = 1e-6 * w[0]
-    w[0] += delta
-    w[-1] -= delta
-    return dataclasses.replace(grid, weights=w)
-
-
-def _verify_checks(level: str, seed: int, inject_fault: bool) -> list[_Check]:
-    fast = level == "fast"
-    rng = np.random.default_rng(seed)
-    checks: list[_Check] = []
-
-    g_low = sphere.sphere_grid(2)
-    if inject_fault:
-        g_low = _perturbed(g_low)
-    defect = sphere.verify_orthogonality(g_low)
-    checks.append(
-        _Check("orthogonality(N=2)", "(4pi/3) delta_kl", defect, defect, 1e-12)
-    )
-    defect = sphere.verify_orthogonality(sphere.sphere_grid(8))
-    checks.append(
-        _Check("orthogonality(N=8)", "(4pi/3) delta_kl", defect, defect, 1e-12)
-    )
-
-    g4 = sphere.sphere_grid(4)
-    target = 16.0 * math.pi ** 2 / 3.0
-    tensor1 = pauli_expansion(werner(1.0))
-    eq1 = correlation_fn(tensor1)
-    value = sphere.inner_product(eq1, eq1, g4)
-    checks.append(
-        _Check("(E_Q,E_Q) Werner(1) = 16pi^2/3", f"{target:.6f}", value,
-               abs(value - target) / target, 1e-10)
-    )
-
-    n_states = 10 if fast else 100
-    worst = 0.0
-    for _ in range(n_states):
-        tensor = pauli_expansion(random_density_matrix(rng))
-        eq = correlation_fn(tensor)
-        numeric = sphere.inner_product(eq, eq, g4)
-        analytic = oracle.norm_eq_analytic(tensor)
-        worst = max(worst, abs(numeric - analytic) / analytic)
-    checks.append(
-        _Check(f"norm identity ({n_states} random states)",
-               "(16pi^2/9)||T||^2", worst, worst, 1e-10)
-    )
-
-    n_triples = 20 if fast else 200
-    worst = 0.0
-    for _ in range(n_triples):
-        t = rng.uniform(-1.0, 1.0, size=(3, 3))
-        m = random_unit_vector(rng)
-        lam = random_unit_vector(rng)
-        quad = sphere.integrate(g4, lambda pts: (pts @ (t.T @ m)) * (pts @ lam))
-        exact = (4.0 * math.pi / 3.0) * float(m @ t @ lam)
-        worst = max(worst, abs(quad - exact))
-    checks.append(
-        _Check(f"vector integral identity ({n_triples} draws)",
-               "(4pi/3) m.T lambda", worst, worst, 1e-12)
-    )
-
-    n_states_ns = 5 if fast else 20
-    models_per_state = 200 if fast else 500
-    worst_rel = -math.inf
-    for _ in range(n_states_ns):
-        tensor = pauli_expansion(random_density_matrix(rng))
-        for check in oracle.verify_ns_inequality(
-                tensor, oracle.random_models(rng, models_per_state)):
-            worst_rel = max(worst_rel, (check.lhs - check.bound) / check.bound)
-    checks.append(
-        _Check(f"ns inequality ({n_states_ns * models_per_state} models)",
-               "(E_Q,E_NS) <= (8pi^2/3) T1", worst_rel, max(0.0, worst_rel),
-               oracle.NS_RELATIVE_TOL)
-    )
-
-    n_sat = 5 if fast else 20
-    worst = 0.0
-    for _ in range(n_sat):
-        tensor = pauli_expansion(random_density_matrix(rng))
-        model = oracle.saturating_model(svd3(tensor.block))
-        (check,) = oracle.verify_ns_inequality(tensor, [model])
-        worst = max(worst, abs(check.lhs - check.bound) / check.bound)
-    checks.append(
-        _Check(f"ns bound saturation ({n_sat} states)", "(8pi^2/3) T1",
-               worst, worst, oracle.NS_RELATIVE_TOL)
-    )
-
-    if not fast:
-        tensor = pauli_expansion(random_density_matrix(rng))
-        model = oracle.random_model(rng)
-        exact = oracle.model_state_overlap(tensor, model)
-        estimate, stderr = oracle.model_state_overlap_mc(
-            tensor, model, 10 ** 6, rng
-        )
-        z = abs(estimate - exact) / stderr
-        checks.append(
-            _Check("ns overlap Monte Carlo (1e6 samples)", "z <= 3", z, z, 3.0)
-        )
-
-    value = oracle.chsh_ns_max(step_deg=30.0 if fast else 15.0)
-    checks.append(_Check("chsh ns maximum", "2", value, abs(value - 2.0), 1e-6))
-
-    g_split = sphere.sphere_grid(8, breakpoints=(0.0,))
-    value = sphere.abs_cos_integral(g_split)
-    checks.append(
-        _Check("abs-cos integral (split grid)", "2pi", value,
-               abs(value - 2.0 * math.pi), 1e-12)
-    )
-    value = sphere.projection_norm_constant(g_split)
-    checks.append(
-        _Check("projection constant", "sqrt(3pi)", value,
-               abs(value - math.sqrt(3.0 * math.pi)), 1e-12)
-    )
-
-    worst = 0.0
-    ratio = 2.0 / 3.0
-    for _ in range(5):
-        schmidt = svd3(pauli_expansion(random_density_matrix(rng)).block)
-        ratio = oracle.ns_bound(schmidt) / oracle.lhv_bound(schmidt)
-        worst = max(worst, abs(ratio - 2.0 / 3.0))
-    checks.append(_Check("steering/LHV bound ratio", "2/3", ratio, worst, 5e-16))
-    return checks
-
-
 def cmd_verify(args) -> int:
-    checks = _verify_checks(args.level, args.seed, args.inject_fault)
+    """Print the records of ``verify.run_checks`` as a table; exit 3 if one failed."""
+    checks = verify.run_checks(args.level, args.seed)
     print(f"verification level={args.level} seed={args.seed}")
     header = f"{'check':<42} {'target':<28} {'computed':>14} {'defect':>12} {'tol':>9} status"
     print(header)
@@ -404,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the integral-identity test bench")
     p.add_argument("--level", choices=["fast", "full"], default="fast")
     p.add_argument("--seed", type=_seed, default=42)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("threshold", help="critical noise for one criterion")
     p.add_argument("--family", required=True, choices=["werner", "noisy-schmidt"])

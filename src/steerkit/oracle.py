@@ -27,6 +27,7 @@ or stack is built (0 for a constant).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,13 +84,16 @@ class ClippedLinearResponse:
 
 @dataclass(frozen=True, eq=False)
 class ConstantResponse:
-    """I(m) = value, independent of the setting."""
+    """I(m) = value, independent of the setting; a real number, kept as a float."""
 
     value: float
 
     def __post_init__(self):
+        if not isinstance(self.value, numbers.Real):  # a complex one too, 0.5+0j included
+            raise TypeError(f"constant response must be a real number, got {self.value!r}")
         if not abs(self.value) <= 1.0:
             raise ValueError("constant response must lie in [-1, 1]")
+        object.__setattr__(self, "value", float(self.value))
 
     def __call__(self, m):
         return np.full(np.shape(m)[:-1], self.value, dtype=float)

@@ -10,7 +10,6 @@ Each call builds a fresh rule whose arrays are read-only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,30 +83,6 @@ def inner_product(f, g, grid: SphereGrid) -> float:
     w = np.repeat(grid.weights, len(grid)) * np.tile(grid.weights, len(grid))
     values = np.asarray(f(m, n), dtype=float) * np.asarray(g(m, n), dtype=float)
     return float((w * values).sum())
-
-
-def verify_orthogonality(grid: SphereGrid) -> float:
-    """Max defect of integral(n_k n_l) against (4*pi/3) * delta_kl."""
-    if grid.n_theta < 2:
-        raise ValueError("orthogonality check needs n_theta >= 2")
-    moments = (grid.points * grid.weights[:, None]).T @ grid.points
-    return float(np.max(np.abs(moments - (FOUR_PI / 3.0) * np.eye(3))))
-
-
-def abs_cos_integral(grid: SphereGrid) -> float:
-    """Quadrature of |cos theta| over the sphere, polar axis = grid z axis.
-
-    Exact (2*pi) only on grids split at the equator; on unsplit grids the
-    kink at cos theta = 0 costs several digits, which is the point of the
-    split.
-    """
-    return float((grid.weights * np.abs(grid.points[:, 2])).sum())
-
-
-def projection_norm_constant(grid: SphereGrid) -> float:
-    """Largest projection norm of a bounded response onto the span of the
-    coordinate functions: sqrt(3/(4*pi)) * integral(|cos theta|) = sqrt(3*pi)."""
-    return math.sqrt(3.0 / FOUR_PI) * abs_cos_integral(grid)
 
 
 def uniform_sphere(n: int, rng: np.random.Generator) -> np.ndarray:

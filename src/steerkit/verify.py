@@ -1,0 +1,138 @@
+"""The verify bench: the paper's integral identities and the steering bound
+checked numerically, one record per check.
+
+Every call goes through a module binding (``states.pauli_expansion``,
+``sphere.sphere_grid``, ...), so patching a module attribute, as the
+perfbench tracer and the fault tests do, reaches the bench.
+"""
+
+from __future__ import annotations
+
+import importlib
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import families, oracle, sphere, states
+
+# The package rebinds the name ``steerkit.svd3`` to the function; this is the module.
+_svd3 = importlib.import_module(".svd3", __package__)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One line of the bench: ``value`` computed against ``target``, and its
+    ``defect`` held to the tolerance ``tol``."""
+
+    name: str
+    target: str
+    value: float
+    defect: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.defect <= self.tol
+
+
+def _orthogonality_defect(grid: sphere.SphereGrid) -> float:
+    """Max defect of integral(n_k n_l) against (4 pi / 3) delta_kl."""
+    moments = (grid.points * grid.weights[:, None]).T @ grid.points
+    return float(np.max(np.abs(moments - (sphere.FOUR_PI / 3.0) * np.eye(3))))
+
+
+def run_checks(level: str, seed: int) -> list[Check]:
+    """The bench's records in print order. ``level`` is "fast" or "full"
+    (more draws and a Monte Carlo line); every draw comes from one
+    ``default_rng(seed)``, so the records are fixed by the seed."""
+    fast = level == "fast"
+    rng = np.random.default_rng(seed)
+    checks: list[Check] = []
+
+    for n_theta in (2, 8):
+        defect = _orthogonality_defect(sphere.sphere_grid(n_theta))
+        checks.append(Check(f"orthogonality(N={n_theta})", "(4pi/3) delta_kl",
+                            defect, defect, 1e-12))
+
+    g4 = sphere.sphere_grid(4)
+    target = 16.0 * math.pi ** 2 / 3.0
+    eq1 = states.correlation_fn(states.pauli_expansion(families.werner(1.0)))
+    value = sphere.inner_product(eq1, eq1, g4)
+    checks.append(Check("(E_Q,E_Q) Werner(1) = 16pi^2/3", f"{target:.6f}", value,
+                        abs(value - target) / target, 1e-10))
+
+    n_states = 10 if fast else 100
+    worst = 0.0
+    for _ in range(n_states):
+        tensor = states.pauli_expansion(states.random_density_matrix(rng))
+        eq = states.correlation_fn(tensor)
+        numeric = sphere.inner_product(eq, eq, g4)
+        analytic = oracle.norm_eq_analytic(tensor)
+        worst = max(worst, abs(numeric - analytic) / analytic)
+    checks.append(Check(f"norm identity ({n_states} random states)",
+                        "(16pi^2/9)||T||^2", worst, worst, 1e-10))
+
+    n_triples = 20 if fast else 200
+    worst = 0.0
+    for _ in range(n_triples):
+        t = rng.uniform(-1.0, 1.0, size=(3, 3))
+        m = states.random_unit_vector(rng)
+        lam = states.random_unit_vector(rng)
+        quad = sphere.integrate(g4, lambda pts: (pts @ (t.T @ m)) * (pts @ lam))
+        exact = (4.0 * math.pi / 3.0) * float(m @ t @ lam)
+        worst = max(worst, abs(quad - exact))
+    checks.append(Check(f"vector integral identity ({n_triples} draws)",
+                        "(4pi/3) m.T lambda", worst, worst, 1e-12))
+
+    n_states_ns = 5 if fast else 20
+    models_per_state = 200 if fast else 500
+    worst_rel = -math.inf
+    for _ in range(n_states_ns):
+        tensor = states.pauli_expansion(states.random_density_matrix(rng))
+        for check in oracle.verify_ns_inequality(
+                tensor, oracle.random_models(rng, models_per_state)):
+            worst_rel = max(worst_rel, (check.lhs - check.bound) / check.bound)
+    checks.append(Check(f"ns inequality ({n_states_ns * models_per_state} models)",
+                        "(E_Q,E_NS) <= (8pi^2/3) T1", worst_rel, max(0.0, worst_rel),
+                        oracle.NS_RELATIVE_TOL))
+
+    n_sat = 5 if fast else 20
+    worst = 0.0
+    for _ in range(n_sat):
+        tensor = states.pauli_expansion(states.random_density_matrix(rng))
+        model = oracle.saturating_model(_svd3.svd3(tensor.block))
+        (check,) = oracle.verify_ns_inequality(tensor, [model])
+        worst = max(worst, abs(check.lhs - check.bound) / check.bound)
+    checks.append(Check(f"ns bound saturation ({n_sat} states)", "(8pi^2/3) T1",
+                        worst, worst, oracle.NS_RELATIVE_TOL))
+
+    if not fast:
+        tensor = states.pauli_expansion(states.random_density_matrix(rng))
+        model = oracle.random_model(rng)
+        exact = oracle.model_state_overlap(tensor, model)
+        estimate, stderr = oracle.model_state_overlap_mc(tensor, model, 10 ** 6, rng)
+        z = abs(estimate - exact) / stderr
+        checks.append(Check("ns overlap Monte Carlo (1e6 samples)", "z <= 3", z, z, 3.0))
+
+    value = oracle.chsh_ns_max(step_deg=30.0 if fast else 15.0)
+    checks.append(Check("chsh ns maximum", "2", value, abs(value - 2.0), 1e-6))
+
+    # |cos theta| has a kink at the equator, so only the split grid is exact.
+    g_split = sphere.sphere_grid(8, breakpoints=(0.0,))
+    abs_cos = sphere.integrate(g_split, lambda p: np.abs(p[:, 2]))
+    checks.append(Check("abs-cos integral (split grid)", "2pi", abs_cos,
+                        abs(abs_cos - 2.0 * math.pi), 1e-12))
+    # The largest projection of a bounded response onto the coordinate functions.
+    value = math.sqrt(3.0 / sphere.FOUR_PI) * abs_cos
+    checks.append(Check("projection constant", "sqrt(3pi)", value,
+                        abs(value - math.sqrt(3.0 * math.pi)), 1e-12))
+
+    worst = 0.0
+    ratio = 2.0 / 3.0
+    for _ in range(5):
+        schmidt = _svd3.svd3(states.pauli_expansion(states.random_density_matrix(rng)).block)
+        ratio = oracle.ns_bound(schmidt) / oracle.lhv_bound(schmidt)
+        worst = max(worst, abs(ratio - 2.0 / 3.0))
+    checks.append(Check("steering/LHV bound ratio", "2/3", ratio, worst, 5e-16))
+    return checks

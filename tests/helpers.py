@@ -68,3 +68,30 @@ def criteria_for_state(state):
     schmidt = sk.svd3(tensor.block)
     norm_sq = sk.tensor_norm_sq(tensor)
     return tensor, schmidt, norm_sq, sk.ladder(schmidt.t1, schmidt.t2, norm_sq)
+
+
+def state_to_document(state, label=None) -> dict:
+    """A state as the CLI reads it: nested [re, im] pairs, row-major."""
+    doc = {"matrix": [[[float(z.real), float(z.imag)] for z in row] for row in state.matrix]}
+    if label is not None:
+        doc["label"] = label
+    return doc
+
+
+def perturb_low_grid(monkeypatch) -> None:
+    """Make every N=2 sphere rule move 1e-6 of its first node's weight to
+    its last node; the weights still sum to 4 pi, so the rule is accepted,
+    but its orthogonality defect is far above 1e-12."""
+    build = sk.sphere.sphere_grid
+
+    def perturbed(n_theta, breakpoints=()):
+        grid = build(n_theta, breakpoints)
+        if n_theta != 2:
+            return grid
+        w = grid.weights.copy()
+        delta = 1e-6 * w[0]
+        w[0] += delta
+        w[-1] -= delta
+        return sk.SphereGrid(grid.points, w, grid.n_theta)
+
+    monkeypatch.setattr(sk.sphere, "sphere_grid", perturbed)

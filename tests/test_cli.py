@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import steerkit as sk
-from steerkit import cli
+from helpers import perturb_low_grid, state_to_document
+from steerkit import cli, verify
 
 
 def run(capsys, *argv):
@@ -60,7 +61,7 @@ def test_analyze_report_is_self_consistent(capsys):
 
 def test_analyze_document_round_trip(tmp_path, capsys):
     state = sk.werner(0.6)
-    doc = cli.state_to_document(state, label="werner(v=0.6)")
+    doc = state_to_document(state, label="werner(v=0.6)")
     path = tmp_path / "state.json"
     path.write_text(json.dumps(doc))
     code_doc, out_doc, _ = run(capsys, "analyze", str(path))
@@ -75,7 +76,7 @@ def test_analyze_accepted_state_at_the_positivity_floor(tmp_path, capsys):
     phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     rho = np.outer(phi, phi) + 9e-10 * np.diag([1.0, -1.0, -1.0, 1.0])
     path = tmp_path / "edge.json"
-    path.write_text(json.dumps(cli.state_to_document(sk.validate_state(rho))))
+    path.write_text(json.dumps(state_to_document(sk.validate_state(rho))))
     code, out, err = run(capsys, "analyze", str(path))
     assert (code, err) == (0, "")
     report = json.loads(out)
@@ -136,7 +137,7 @@ def test_analyze_invalid_state_document(tmp_path, capsys):
 
 
 def test_analyze_nan_document(tmp_path, capsys):
-    doc = cli.state_to_document(sk.werner(0.5))
+    doc = state_to_document(sk.werner(0.5))
     doc["matrix"][0][1] = [float("nan"), 0.0]
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc))
@@ -210,7 +211,7 @@ def test_analyze_family_out_of_range(capsys):
 
 def test_analyze_rejects_both_inputs(tmp_path, capsys):
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(cli.state_to_document(sk.werner(0.5))))
+    path.write_text(json.dumps(state_to_document(sk.werner(0.5))))
     code, _, err = run(
         capsys, "analyze", str(path), "--family", "werner", "--v", "0.5"
     )
@@ -220,7 +221,7 @@ def test_analyze_rejects_both_inputs(tmp_path, capsys):
 @pytest.mark.parametrize("option,value", [("--v", "0.3"), ("--alpha", "2")])
 def test_analyze_document_rejects_family_options(tmp_path, capsys, option, value):
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(cli.state_to_document(sk.werner(0.5))))
+    path.write_text(json.dumps(state_to_document(sk.werner(0.5))))
     code, out, err = run(capsys, "analyze", str(path), option, value)
     assert code == 1
     assert out == ""
@@ -426,6 +427,13 @@ def test_verify_fast_table_pinned(capsys):
     assert values["chsh ns maximum"] == "2.000000e+00"
 
 
+def test_verify_run_checks_records():
+    checks = verify.run_checks("fast", 42)
+    assert [(c.name, c.target, format(c.tol, ".0e"), "pass" if c.passed else "FAIL")
+            for c in checks] == FAST_TABLE
+    assert all(c.passed == (c.defect <= c.tol) for c in checks)
+
+
 def test_verify_full_passes(capsys):
     code, out, _ = run(capsys, "verify", "--level", "full", "--seed", "42")
     assert code == 0
@@ -443,10 +451,18 @@ def test_verify_rejects_negative_seed(capsys):
     assert "non-negative" in err
 
 
-def test_verify_injected_fault_fails(capsys):
-    code, out, _ = run(capsys, "verify", "--level", "fast", "--inject-fault")
+def test_verify_injected_fault_fails(capsys, monkeypatch):
+    perturb_low_grid(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--level", "fast")
     assert code == 3
-    assert "FAIL" in out
+    rows = {r[:42].rstrip(): r for r in out.splitlines()}
+    assert rows["orthogonality(N=2)"].endswith("FAIL")
+    assert out.splitlines()[-1] == "1 of 11 checks FAILED"
+    # The fault is injected by patching; the CLI has no option for it.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--level", "fast", "--inject-fault"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage:")
 
 
 # --- dependencies ----------------------------------------------------------------

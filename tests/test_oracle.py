@@ -113,6 +113,16 @@ def test_constant_response_rejects_nan():
         sk.ConstantResponse(np.nan)
 
 
+def test_constant_response_is_a_real_float():
+    # abs(1j) <= 1, so a complex constant once passed and made the columns complex.
+    for value in (1j, 0.5 + 0j, np.complex128(0.5)):
+        with pytest.raises(TypeError):
+            sk.ConstantResponse(value)
+    assert type(sk.ConstantResponse(np.float32(0.5)).value) is float
+    model = sk.HiddenStateModel([sk.ModelComponent(1.0, Z, sk.ConstantResponse(1))])
+    assert model.values.dtype == np.float64
+
+
 def test_component_rejects_non_finite_weight():
     for weight in (np.nan, np.inf):
         with pytest.raises(ValueError):

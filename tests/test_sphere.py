@@ -6,8 +6,13 @@ import pytest
 
 import steerkit as sk
 from helpers import monomial_sphere_integral
+from steerkit import verify
 
 FOUR_PI = 4.0 * np.pi
+
+
+def abs_cos(p):
+    return np.abs(p[:, 2])
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -29,16 +34,11 @@ def test_grid_invariant_enforced():
 
 
 def test_orthogonality_minimal_grid():
-    assert sk.verify_orthogonality(sk.sphere_grid(2)) <= 1e-12
+    assert verify._orthogonality_defect(sk.sphere_grid(2)) <= 1e-12
 
 
 def test_orthogonality_production_grid():
-    assert sk.verify_orthogonality(sk.sphere_grid(8)) <= 1e-12
-
-
-def test_orthogonality_needs_order_two():
-    with pytest.raises(ValueError):
-        sk.verify_orthogonality(sk.sphere_grid(1))
+    assert verify._orthogonality_defect(sk.sphere_grid(8)) <= 1e-12
 
 
 def test_off_diagonal_component_vanishes():
@@ -85,14 +85,14 @@ def test_vector_integral_identity():
 
 def test_abs_cos_split_grid_exact():
     grid = sk.sphere_grid(8, breakpoints=(0.0,))
-    assert abs(sk.abs_cos_integral(grid) - 2.0 * np.pi) <= 1e-12
+    assert abs(sk.integrate(grid, abs_cos) - 2.0 * np.pi) <= 1e-12
 
 
 def test_abs_cos_unsplit_grid_inaccurate():
     # documents why the hemispherical split is required: the kink at the
     # equator costs the Gauss rule most of its digits
     grid = sk.sphere_grid(8)
-    error = abs(sk.abs_cos_integral(grid) - 2.0 * np.pi)
+    error = abs(sk.integrate(grid, abs_cos) - 2.0 * np.pi)
     assert 1e-3 < error < 1e-1
 
 
@@ -104,7 +104,8 @@ def test_signed_cos_vanishes_by_symmetry():
 
 def test_projection_norm_constant():
     grid = sk.sphere_grid(8, breakpoints=(0.0,))
-    assert abs(sk.projection_norm_constant(grid) - math.sqrt(3.0 * np.pi)) <= 1e-12
+    constant = math.sqrt(3.0 / FOUR_PI) * sk.integrate(grid, abs_cos)
+    assert abs(constant - math.sqrt(3.0 * np.pi)) <= 1e-12
 
 
 def test_rules_are_read_only():
