@@ -77,6 +77,8 @@ def _load_state(args) -> tuple[DensityMatrix4, str]:
                 data = json.load(fp)
             except RecursionError:
                 raise DocumentError("document nests too deeply") from None
+            except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit limit
+                raise DocumentError(str(exc)) from exc
         return parse_state_document(data)
     if args.family is None:
         raise DocumentError("give a document path or --family")
@@ -264,7 +266,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DocumentError) as exc:
+    except (OSError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (StateValidationError, ParameterOutOfRange) as exc:

@@ -1,4 +1,4 @@
-"""Hidden-state models and numeric verification of the steering bound.
+"""Hidden-state models and their overlaps with a quantum correlation.
 
 A non-steering (local-hidden-state) model assigns classical weights to
 unit hidden Bloch vectors on Bob's side and bounded response functions to
@@ -13,9 +13,10 @@ product over the product of Bloch spheres obeys
 
 with T1 the top singular value of T, while (E_Q, E_Q) equals
 (16 pi^2 / 9) ||T||^2; a sign response on the top singular vectors attains
-the bound. A response is a SignResponse, ClippedLinearResponse or
-ConstantResponse, matched on the exact type. Models are held as columns,
-drawn a stack at a time and integrated a stack at a time.
+the bound. ``model_state_overlaps`` and ``ns_bound`` compute the two sides;
+the verify bench compares them. A response is a SignResponse,
+ClippedLinearResponse or ConstantResponse, matched on the exact type. Models
+are held as columns, drawn a stack at a time and integrated a stack at a time.
 
 The n-integral reduces exactly to (4 pi / 3) I(m) (m . T lambda). Sign and
 clipped responses share I(m) = clip(norm z, -1, 1), z = m . axis (a sign
@@ -36,10 +37,9 @@ import numpy as np
 from .criteria import tensor_norm_sq
 from .sphere import uniform_sphere
 from .states import UNIT_NORM_TOL, correlation_fn, unit_vector
-from .svd3 import SchmidtForm, svd3
+from .svd3 import SchmidtForm
 
 WEIGHT_SUM_TOL = 1e-12
-NS_RELATIVE_TOL = 1e-6
 MAX_COMPONENTS = 8
 
 _NS_COEFF = 8.0 * math.pi ** 2 / 3.0
@@ -271,24 +271,6 @@ def model_state_overlap_mc(tensor, model: HiddenStateModel, samples: int,
         sq_dev += delta * delta * (count - size) * size / count
     scale = (4.0 * math.pi) ** 2
     return scale * mean, scale * math.sqrt(sq_dev / (samples - 1) / samples)
-
-
-@dataclass(frozen=True)
-class NsInequalityCheck:
-    lhs: float
-    bound: float
-    tolerance: float
-    holds: bool
-
-
-def verify_ns_inequality(tensor, models: Sequence[HiddenStateModel]
-                         ) -> list[NsInequalityCheck]:
-    """Check (E_Q, E_NS) <= (8 pi^2 / 3) T1, to a 1e-6 relative tolerance,
-    for each model of a sequence; T1 comes from one SVD of T."""
-    bound = ns_bound(svd3(tensor.block))
-    tolerance = NS_RELATIVE_TOL * bound + 1e-12
-    return [NsInequalityCheck(lhs, bound, tolerance, lhs <= bound + tolerance)
-            for lhs in model_state_overlaps(tensor, models)]
 
 
 def random_model(rng: np.random.Generator) -> HiddenStateModel:

@@ -23,7 +23,6 @@ class SphereGrid:
 
     points: np.ndarray
     weights: np.ndarray
-    n_theta: int
 
     def __post_init__(self):
         for name in ("points", "weights"):
@@ -63,7 +62,7 @@ def sphere_grid(n_theta: int, breakpoints=()) -> SphereGrid:
     px = np.outer(sin_theta, np.cos(phi)).ravel()
     py = np.outer(sin_theta, np.sin(phi)).ravel()
     points = np.column_stack([px, py, np.repeat(u, n_phi)])
-    return SphereGrid(points, np.repeat(wu * dphi, n_phi), n_theta)
+    return SphereGrid(points, np.repeat(wu * dphi, n_phi))
 
 
 def integrate(grid: SphereGrid, f) -> float:

@@ -85,13 +85,17 @@ class DensityMatrix4:
         # Halved, as m + m^H and m - m^H overflow past ~9e307. The trace is summed
         # in Python floats, where an overflow is a quiet inf, as (d0 + d1) + (d2 + d3):
         # the order of numpy's current complex reduce, so the defect keeps the bytes
-        # of abs(trace - 1) only while numpy keeps that order (a test pins it).
+        # of abs(trace - 1) only while numpy keeps that order (a test pins it). abs()
+        # of a complex raises once the modulus overflows; that defect reads as inf.
         h = 0.5 * m
         herm_defect = 2.0 * float(np.abs(h - h.conj().T).max())
         if herm_defect > HERMITICITY_TOL:
             violations.append(Violation("NotHermitian", herm_defect))
         d = h.diagonal().tolist()
-        trace_defect = 2.0 * abs((d[0] + d[1]) + (d[2] + d[3]) - 0.5)
+        try:
+            trace_defect = 2.0 * abs((d[0] + d[1]) + (d[2] + d[3]) - 0.5)
+        except OverflowError:
+            trace_defect = math.inf
         if trace_defect > TRACE_TOL:
             violations.append(Violation("TraceNotOne", trace_defect))
         min_eig = float(np.linalg.eigvalsh(h + h.conj().T)[0])

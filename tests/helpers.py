@@ -92,6 +92,6 @@ def perturb_low_grid(monkeypatch) -> None:
         delta = 1e-6 * w[0]
         w[0] += delta
         w[-1] -= delta
-        return sk.SphereGrid(grid.points, w, grid.n_theta)
+        return sk.SphereGrid(grid.points, w)
 
     monkeypatch.setattr(sk.sphere, "sphere_grid", perturbed)

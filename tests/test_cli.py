@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import steerkit as sk
 from helpers import perturb_low_grid, state_to_document
@@ -196,6 +199,43 @@ def test_analyze_overflowing_document(tmp_path, upper, lower, diagonal):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("invalid input: not a valid two-qubit state:")
+    assert proc.stderr.count("\n") == 1
+
+
+# One digit past the interpreter's int-from-text limit (4300 by default).
+LONG_INT = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(LONG_INT, id="top-level"),
+    pytest.param(f'{{"matrix": [[[{LONG_INT}, 0]]]}}', id="cell"),
+])
+def test_analyze_long_integer_document(tmp_path, capsys, text):
+    # json.load refuses the integer with a plain ValueError, not a JSONDecodeError.
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Exceeds the limit")
+    assert err.count("\n") == 1
+
+
+def overflowing_trace_document() -> dict:
+    # |trace - 1| is about 2.4e308, past the float range though every entry is finite.
+    matrix = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
+    matrix[0][0] = matrix[1][1] = [1.7e308, 1.7e308]
+    return {"matrix": matrix}
+
+
+def test_analyze_overflowing_trace_document(tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(overflowing_trace_document()))
+    proc = run_process("analyze", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invalid input: not a valid two-qubit state:")
+    assert "TraceNotOne (defect inf)" in proc.stderr
     assert proc.stderr.count("\n") == 1
 
 
@@ -463,6 +503,130 @@ def test_verify_injected_fault_fails(capsys, monkeypatch):
         cli.main(["verify", "--level", "fast", "--inject-fault"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("usage:")
+
+
+def test_verify_takes_one_svd_per_tensor(monkeypatch):
+    # Five tensors each for the ns inequality, its saturation and the bound
+    # ratio; every decomposition goes through np.linalg.svd, whatever binding
+    # of svd3 called it.
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a: calls.append(a) or svd(a))
+    verify.run_checks("fast", 42)
+    assert len(calls) == 15
+
+
+# --- properties over the command line ---------------------------------------------
+
+
+def run_in_process(*argv):
+    """cli.main without capsys, which Hypothesis cannot reset between examples;
+    argparse's SystemExit reads as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented(result, codes):
+    """An exit code the CLI documents, and on failure one line on stderr
+    (argparse's usage message for its own exit 2)."""
+    code, out, err = result
+    assert code in codes
+    if code in (0, 4):
+        assert err == ""
+    elif err.startswith("usage:"):
+        assert (code, out) == (2, "")
+    else:
+        assert out == ""
+        assert err.startswith("error:" if code == 1 else "invalid input:")
+        assert err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=5)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=40,
+)
+NUMBERS = st.floats() | st.integers() | st.booleans()
+MATRICES = st.lists(st.lists(st.lists(NUMBERS, min_size=2, max_size=2) | JSON_VALUES,
+                             min_size=3, max_size=5), min_size=3, max_size=5)
+DOCUMENTS = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    st.fixed_dictionaries({"matrix": MATRICES}, optional={"label": JSON_VALUES}).map(json.dumps),
+    st.text(max_size=20),
+).map(str.encode) | st.binary(max_size=20)
+# argparse reads --v, --alpha and the grid's bounds with float().
+OPTION_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["1e999", "-1e999", "0x1p-2", "1_0", " 0.5 ", ""]),
+    st.text(max_size=6),
+)
+GRIDS = st.one_of(
+    st.tuples(OPTION_TEXT, OPTION_TEXT,
+              st.integers(-3, 40) | st.integers(cli.MAX_GRID_POINTS + 1, 10 ** 30)
+              ).map(lambda parts: ":".join(map(str, parts))),
+    st.text(max_size=12),
+)
+FAMILIES = st.sampled_from(["werner", "noisy-schmidt", "schmidt"])
+
+
+def with_options(argv, **options):
+    return [*argv, *(f"--{name}={value}" for name, value in options.items()
+                     if value is not None)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(DOCUMENTS)
+@example(LONG_INT.encode())
+@example(f'{{"matrix": [[[0, {LONG_INT}]]]}}'.encode())
+@example(json.dumps(overflowing_trace_document()).encode())
+@example(json.dumps({"matrix": [[[9e307 if i != j else 0.25, 0.0] for j in range(4)]
+                                for i in range(4)]}).encode())
+@example(json.dumps({"matrix": [[[1e308 if i == j else 0.0, 0.0] for j in range(4)]
+                                for i in range(4)]}).encode())
+@example(json.dumps(state_to_document(sk.werner(0.5))).encode())
+def test_analyze_document_property(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "property_document.json"
+    path.write_bytes(document)
+    assert_documented(run_in_process("analyze", str(path)), (0, 1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(FAMILIES, st.none() | OPTION_TEXT, st.none() | OPTION_TEXT)
+@example("werner", "0.6", None)
+@example("noisy-schmidt", "nan", "inf")
+@example("noisy-schmidt", "-0.0", "1e-330")
+@example("werner", "1e308", None)
+def test_analyze_family_property(family, v, alpha):
+    argv = with_options(["analyze", f"--family={family}"], v=v, alpha=alpha)
+    assert_documented(run_in_process(*argv), (0, 1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(FAMILIES, GRIDS, st.none() | OPTION_TEXT)
+@example("werner", "0:1:1000000000000000", None)
+@example("werner", "nan:1:3", None)
+@example("noisy-schmidt", "0:1:3", "0.5")
+def test_sweep_property(family, grid, alpha):
+    argv = with_options(["sweep", f"--family={family}"], grid=grid, alpha=alpha)
+    assert_documented(run_in_process(*argv), (0, 1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(FAMILIES, st.sampled_from(["entanglement", "steering", "bell", "chsh", "none"]),
+       st.none() | OPTION_TEXT)
+@example("noisy-schmidt", "steering", "0.5")
+@example("noisy-schmidt", "steering", "nan")
+def test_threshold_property(family, criterion, alpha):
+    argv = with_options(["threshold", f"--family={family}", f"--criterion={criterion}"],
+                        alpha=alpha)
+    assert_documented(run_in_process(*argv), (0, 2, 4))
 
 
 # --- dependencies ----------------------------------------------------------------

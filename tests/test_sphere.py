@@ -30,7 +30,7 @@ def test_weights_sum_to_full_solid_angle(kwargs):
 def test_grid_invariant_enforced():
     grid = sk.sphere_grid(2)
     with pytest.raises(ValueError):
-        sk.SphereGrid(grid.points, grid.weights * 1.001, 2)
+        sk.SphereGrid(grid.points, grid.weights * 1.001)
 
 
 def test_orthogonality_minimal_grid():
@@ -57,9 +57,10 @@ def test_monte_carlo_orthogonality_defect_is_statistical():
 
 
 def test_polynomial_exactness_up_to_degree():
-    grid = sk.sphere_grid(4)
+    n_theta = 4
+    grid = sk.sphere_grid(n_theta)
     for a, b, c in itertools.product(range(8), repeat=3):
-        if a + b + c > 2 * grid.n_theta - 1:
+        if a + b + c > 2 * n_theta - 1:
             continue
         value = sk.integrate(
             grid, lambda p: p[:, 0] ** a * p[:, 1] ** b * p[:, 2] ** c

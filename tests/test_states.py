@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import steerkit as sk
 from helpers import SINGLET_PROJECTOR, brute_pauli_table
@@ -91,6 +92,35 @@ def test_trace_defect_is_numpys_trace():
             sk.validate_state(m)
         defects = [v.magnitude for v in exc.value.violations if v.invariant == "TraceNotOne"]
         assert defects == [abs(complex(m.trace()) - 1.0)]
+
+
+def overflowing_trace_matrix() -> np.ndarray:
+    # Every entry is finite, but |trace - 1| is about 2.4e308.
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = m[1, 1] = 1.7e308 + 1.7e308j
+    return m
+
+
+def test_overflowing_trace_defect_reads_inf():
+    # abs() of a Python complex raises OverflowError once the modulus
+    # overflows; the defect reads as inf instead.
+    with pytest.raises(sk.StateValidationError) as exc:
+        sk.validate_state(overflowing_trace_matrix())
+    assert ("TraceNotOne", np.inf) in exc.value.violations
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(complex, (4, 4), elements=st.complex_numbers()))
+@example(overflowing_trace_matrix())
+@example(np.full((4, 4), 9e307 + 0j))
+@example(np.eye(4, dtype=complex) * 1e308)
+@example(np.eye(4, dtype=complex) / 4.0)
+def test_validate_state_accepts_or_refuses_any_4x4(m):
+    try:
+        state = sk.validate_state(m)
+    except sk.StateValidationError:
+        return
+    assert isinstance(state, sk.DensityMatrix4)
 
 
 def test_validation_error_is_value_error():
