@@ -96,15 +96,15 @@ def critical_noise(family: "NoiseFamily", criterion: Criterion) -> float:
     """Smallest v in [0, 1] at which the criterion detects.
 
     Raises NoDetection if the criterion never fires on [0, 1]. The block
-    is v·T(1): a geometric lhs T1 scales as v against a bound c·||T||^2
-    that scales as v^2, and CHSH's lhs T1^2 + T2^2 scales as v^2 against
-    a constant bound. The margin is then a·v^2 - b·v - c, detection is
-    the interval above its root at TIE_TOL, and NoDetection means exactly
-    that v = 1 does not detect.
+    is v·T(1), whose spectrum and norm the family took when it was built:
+    a geometric lhs T1 scales as v against a bound c·||T||^2 that scales
+    as v^2, and CHSH's lhs T1^2 + T2^2 scales as v^2 against a constant
+    bound. The margin is then a·v^2 - b·v - c, detection is the interval
+    above its root at TIE_TOL, and NoDetection means exactly that v = 1
+    does not detect.
     """
-    block = family.unit_block
-    t1, t2, _ = np.linalg.svd(block, compute_uv=False).tolist()
-    lhs, bound, margin = ladder(t1, t2, float(block_norm_sq(block)))[criterion]
+    t1, t2, _ = family.unit_sigma.tolist()
+    lhs, bound, margin = ladder(t1, t2, family.unit_norm_sq)[criterion]
     if not detected(margin):
         raise NoDetection(f"{criterion.value} never detects on [0, 1]")
     if criterion is Criterion.CHSH_HORODECKI:

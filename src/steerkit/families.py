@@ -63,31 +63,38 @@ def noisy_schmidt(alpha: float, v: float) -> DensityMatrix4:
     return _noisy_pure(_schmidt_vector(alpha), v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseFamily:
     """One-parameter family v -> v|psi><psi| + (1 - v) I/4, with any shape
     parameters fixed.
 
     The family declares ``pure_state`` = psi, so its correlation block is
     exactly v·T(1). Both endpoints are validated once, so every state
-    between them is one by convexity, and T(1) is kept as ``unit_block``;
-    sweeps and thresholds scale it instead of calling ``state_at``, which
-    stays the reference for single states.
+    between them is one by convexity. T(1) is kept as ``unit_block``, with
+    its singular values ``unit_sigma`` and squared norm ``unit_norm_sq``;
+    sweeps and thresholds scale these instead of calling ``state_at``,
+    which stays the reference for single states. Compared by identity.
     """
 
     name: str
     state_at: Callable[[float], DensityMatrix4]
-    pure_state: np.ndarray = field(repr=False, compare=False)
+    pure_state: np.ndarray = field(repr=False)
     shape_parameters: Mapping[str, float] = field(default_factory=dict)
-    unit_block: np.ndarray = field(init=False, repr=False, compare=False)
+    unit_block: np.ndarray = field(init=False, repr=False)
+    unit_sigma: np.ndarray = field(init=False, repr=False)
+    unit_norm_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
         psi = np.array(self.pure_state, dtype=complex)
         psi.setflags(write=False)
         object.__setattr__(self, "pure_state", psi)
         _noisy_pure(psi, 0.0)
-        unit = pauli_expansion(_noisy_pure(psi, 1.0))
-        object.__setattr__(self, "unit_block", unit.block)
+        block = pauli_expansion(_noisy_pure(psi, 1.0)).block
+        sigma = np.linalg.svd(block, compute_uv=False)
+        sigma.setflags(write=False)
+        object.__setattr__(self, "unit_block", block)
+        object.__setattr__(self, "unit_sigma", sigma)
+        object.__setattr__(self, "unit_norm_sq", float(block_norm_sq(block)))
 
 
 def werner_family() -> NoiseFamily:
@@ -140,7 +147,7 @@ def sweep(family: NoiseFamily, v_grid) -> Sweep:
     outside = v[~((0.0 <= v) & (v <= 1.0))]
     if outside.size:
         _check_noise(float(outside[0]))
-    blocks = v[:, None, None] * family.unit_block
-    sigma = np.linalg.svd(blocks, compute_uv=False)
-    norm_sq = block_norm_sq(blocks)
+    # sigma(v·T(1)) = v·sigma(T(1)); v*v*unit_norm_sq would round apart.
+    sigma = v[:, None] * family.unit_sigma
+    norm_sq = block_norm_sq(v[:, None, None] * family.unit_block)
     return Sweep(v, sigma, norm_sq, ladder(sigma[:, 0], sigma[:, 1], norm_sq))

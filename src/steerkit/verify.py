@@ -1,5 +1,5 @@
-"""The verify bench: the paper's integral identities and the steering bound
-checked numerically, one record per check.
+"""The verify bench: the paper's integral identities and the steering and LHV
+bounds checked numerically, one record per check.
 
 Every call goes through a module binding (``states.pauli_expansion``,
 ``sphere.sphere_grid``, ...), so patching a module attribute, as the
@@ -43,6 +43,13 @@ def _orthogonality_defect(grid: sphere.SphereGrid) -> float:
     """Max defect of integral(n_k n_l) against (4 pi / 3) delta_kl."""
     moments = (grid.points * grid.weights[:, None]).T @ grid.points
     return float(np.max(np.abs(moments - (sphere.FOUR_PI / 3.0) * np.eye(3))))
+
+
+def _signed_first_moment(grid: sphere.SphereGrid, frame: np.ndarray) -> np.ndarray:
+    """int sign(n.f0) n dn on ``grid`` turned to put its pole on f0, where a rule
+    split at the equator is exact; ``frame`` holds orthonormal rows f0, f1, f2."""
+    points = grid.points @ frame[[1, 2, 0]]
+    return (grid.weights * np.sign(points @ frame[0])) @ points
 
 
 def run_checks(level: str, seed: int) -> list[Check]:
@@ -133,11 +140,12 @@ def run_checks(level: str, seed: int) -> list[Check]:
     checks.append(Check("projection constant", "sqrt(3pi)", value,
                         abs(value - math.sqrt(3.0 * math.pi)), 1e-12))
 
+    # sign(m.u1) sign(n.v1) attains the LHV bound: a.T b, a = int sign(m.u1) m dm.
     worst = 0.0
-    ratio = 2.0 / 3.0
     for _ in range(5):
-        schmidt = _svd3.svd3(states.pauli_expansion(states.random_density_matrix(rng)).block)
-        ratio = oracle.ns_bound(schmidt) / oracle.lhv_bound(schmidt)
-        worst = max(worst, abs(ratio - 2.0 / 3.0))
-    checks.append(Check("steering/LHV bound ratio", "2/3", ratio, worst, 5e-16))
+        tensor = states.pauli_expansion(states.random_density_matrix(rng))
+        schmidt = _svd3.svd3(tensor.block)
+        a, b = (_signed_first_moment(g_split, frame) for frame in (schmidt.u, schmidt.v))
+        worst = max(worst, abs(float(a @ tensor.block @ b) / oracle.lhv_bound(schmidt) - 1.0))
+    checks.append(Check("lhv bound saturation (5 states)", "(2pi)^2 T1", worst, worst, 1e-12))
     return checks

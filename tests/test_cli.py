@@ -447,7 +447,7 @@ FAST_TABLE = [
     ("chsh ns maximum", "2", "1e-06", "pass"),
     ("abs-cos integral (split grid)", "2pi", "1e-12", "pass"),
     ("projection constant", "sqrt(3pi)", "1e-12", "pass"),
-    ("steering/LHV bound ratio", "2/3", "5e-16", "pass"),
+    ("lhv bound saturation (5 states)", "(2pi)^2 T1", "1e-12", "pass"),
 ]
 
 
@@ -505,10 +505,20 @@ def test_verify_injected_fault_fails(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("usage:")
 
 
+def test_verify_lhv_coefficient_fault_fails_one_line(capsys, monkeypatch):
+    # The LHV bound's saturation is integrated, so a wrong coefficient shows.
+    monkeypatch.setattr(sk.oracle, "_LHV_COEFF", sk.oracle._LHV_COEFF * 1.01)
+    code, out, _ = run(capsys, "verify", "--level", "fast")
+    assert code == 3
+    failed = [r[:42].rstrip() for r in out.splitlines() if r.endswith("FAIL")]
+    assert failed == ["lhv bound saturation (5 states)"]
+    assert out.splitlines()[-1] == "1 of 11 checks FAILED"
+
+
 def test_verify_takes_one_svd_per_tensor(monkeypatch):
-    # Five tensors each for the ns inequality, its saturation and the bound
-    # ratio; every decomposition goes through np.linalg.svd, whatever binding
-    # of svd3 called it.
+    # Five tensors each for the ns inequality, its saturation and the LHV
+    # bound's saturation; every decomposition goes through np.linalg.svd,
+    # whatever binding of svd3 called it.
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a: calls.append(a) or svd(a))

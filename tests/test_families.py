@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steerkit as sk
 from helpers import SINGLET_PROJECTOR, criteria_for_state
@@ -122,17 +124,19 @@ def test_sweep_takes_any_iterable_grid():
 
 
 def test_sweep_records_recomputable():
-    family = sk.noisy_schmidt_family(1.0)
-    result = sk.sweep(family, [0.3, 0.8])
-    for k, v in enumerate(result.v):
-        block = v * family.unit_block
-        schmidt = sk.svd3(block)
-        norm_sq = float(np.sum(block * block))
-        assert result.sigma[k, 0] == schmidt.t1
-        assert result.norm_sq[k] == norm_sq
-        rows = sk.ladder(schmidt.t1, schmidt.t2, norm_sq)
-        for c, row in rows.items():
-            assert tuple(a[k] for a in result.rows[c]) == row
+    # The built-in blocks are diagonal, so v·sigma(T(1)) is the SVD bit for bit.
+    for family in [sk.werner_family()] + [
+            sk.noisy_schmidt_family(a) for a in (0.3, 1.0, 1.0472, 2.0, 2.9)]:
+        result = sk.sweep(family, [0.0, 0.3, 0.8, 1.0])
+        for k, v in enumerate(result.v):
+            block = v * family.unit_block
+            schmidt = sk.svd3(block)
+            norm_sq = float(np.sum(block * block))
+            assert result.sigma[k].tolist() == schmidt.sigma.tolist()
+            assert result.norm_sq[k] == norm_sq
+            rows = sk.ladder(schmidt.t1, schmidt.t2, norm_sq)
+            for c, row in rows.items():
+                assert tuple(a[k] for a in result.rows[c]) == row
 
 
 def per_state_rows(family, v_grid):
@@ -222,6 +226,12 @@ def test_closed_form_survives_state_at_swap():
 
     swapped = dataclasses.replace(family, state_at=refuse)
     assert np.array_equal(swapped.unit_block, family.unit_block)
+    # replace reruns __post_init__: the spectrum is taken again, not passed on
+    assert swapped.unit_sigma is not family.unit_sigma
+    assert np.array_equal(swapped.unit_sigma, family.unit_sigma)
+    assert swapped.unit_norm_sq == family.unit_norm_sq
+    with pytest.raises(ValueError):
+        swapped.unit_sigma[0] = 0.0
     for c in sk.Criterion:
         assert sk.critical_noise(swapped, c) == sk.critical_noise(family, c)
     assert np.array_equal(sk.sweep(swapped, [0.2, 0.9]).sigma,
@@ -258,3 +268,54 @@ def test_boundary_angle_is_inconclusive_everywhere():
     assert not detected(margin)
     with pytest.raises(sk.NoDetection):
         sk.critical_noise(family, sk.Criterion.GEOMETRIC_STEERING)
+
+
+def test_families_hash_and_compare_by_identity():
+    for build in (sk.werner_family, lambda: sk.noisy_schmidt_family(1.0)):
+        family = build()
+        assert family == family
+        assert family != build()
+        assert {family: 1}[family] == 1
+
+
+def test_thresholds_and_sweeps_take_no_svd(monkeypatch):
+    # The spectrum of T(1) is taken once, when the family is built.
+    family = sk.noisy_schmidt_family(1.2)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, **kw: calls.append(a) or svd(a, **kw))
+    for c in sk.Criterion:
+        threshold_or_none(family, c)
+    sk.sweep(family, np.linspace(0.0, 1.0, 11))
+    assert calls == []
+    sk.noisy_schmidt_family(1.2)
+    assert len(calls) == 1
+
+
+def noisy_state(psi, v):
+    rho = v * np.outer(psi, psi.conj()) + (1.0 - v) * np.eye(4) / 4.0
+    return sk.validate_state(rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_pure_family_scales_its_spectrum(seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    family = sk.NoiseFamily("random", lambda v: noisy_state(psi, v), psi)
+    # v·sigma(T(1)) is not the per-point SVD bit for bit off the diagonal
+    v_grid = np.linspace(0.0, 1.0, 21)
+    result = sk.sweep(family, v_grid)
+    for k, v in enumerate(result.v):
+        reference = sk.svd3(v * family.unit_block).sigma
+        assert np.max(np.abs(result.sigma[k] - reference)) <= 1e-14
+    for c in sk.Criterion:
+        found = threshold_or_none(family, c)
+        margin_at = lambda v: criteria_for_state(noisy_state(psi, v))[3][c][2]
+        if found is None:
+            assert not detected(margin_at(1.0))
+            continue
+        assert detected(margin_at(min(1.0, found * (1.0 + 1e-9))))
+        assert not detected(margin_at(found * (1.0 - 1e-9)))
