@@ -1,6 +1,8 @@
 """Correlation-tensor criteria for two-qubit steering, entanglement and
 Bell nonlocality, verified by spherical quadrature."""
 
+import importlib
+
 from .criteria import (
     Criterion,
     NoDetection,
@@ -17,32 +19,6 @@ from .families import (
     sweep,
     werner,
     werner_family,
-)
-from .oracle import (
-    ClippedLinearResponse,
-    ConstantResponse,
-    DegenerateTensor,
-    HiddenStateModel,
-    ModelComponent,
-    SignResponse,
-    chsh_ns_max,
-    lhv_bound,
-    model_state_overlap,
-    model_state_overlap_mc,
-    model_state_overlaps,
-    norm_eq_analytic,
-    ns_bound,
-    ns_correlation_fn,
-    random_model,
-    random_models,
-    saturating_model,
-)
-from .sphere import (
-    SphereGrid,
-    inner_product,
-    integrate,
-    sphere_grid,
-    uniform_sphere,
 )
 from .states import (
     ConditionalState,
@@ -62,54 +38,79 @@ from .svd3 import SchmidtForm, svd3
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClippedLinearResponse",
+# The oracle and the quadrature are loaded on first access (PEP 562), so
+# that the criteria commands never import them. Each access reads the
+# module's current attribute, so patching ``steerkit.oracle.X`` reaches
+# ``steerkit.X`` too.
+_LAZY = {
+    **dict.fromkeys([
+        "ClippedLinearResponse",
+        "ConstantResponse",
+        "DegenerateTensor",
+        "HiddenStateModel",
+        "ModelComponent",
+        "SignResponse",
+        "chsh_ns_max",
+        "lhv_bound",
+        "model_state_overlap",
+        "model_state_overlap_mc",
+        "model_state_overlaps",
+        "norm_eq_analytic",
+        "ns_bound",
+        "ns_correlation_fn",
+        "random_model",
+        "random_models",
+        "saturating_model",
+    ], "oracle"),
+    **dict.fromkeys([
+        "SphereGrid",
+        "inner_product",
+        "integrate",
+        "sphere_grid",
+        "uniform_sphere",
+    ], "sphere"),
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(__getattr__(_LAZY[name]), name)
+    if name in _LAZY.values():  # the module itself
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
+
+__all__ = sorted([
     "ConditionalState",
-    "ConstantResponse",
     "CorrelationTensor",
     "Criterion",
-    "DegenerateTensor",
     "DensityMatrix4",
-    "HiddenStateModel",
-    "ModelComponent",
     "NoDetection",
     "NoiseFamily",
     "ParameterOutOfRange",
     "SchmidtForm",
-    "SignResponse",
-    "SphereGrid",
     "StateValidationError",
-    "chsh_ns_max",
     "conditional_state",
     "correlation_fn",
     "critical_noise",
     "family_from_name",
-    "inner_product",
-    "integrate",
     "joint_probability",
     "ladder",
-    "lhv_bound",
-    "model_state_overlap",
-    "model_state_overlap_mc",
-    "model_state_overlaps",
     "noisy_schmidt",
     "noisy_schmidt_family",
-    "norm_eq_analytic",
-    "ns_bound",
-    "ns_correlation_fn",
     "pauli_expansion",
     "random_density_matrix",
-    "random_model",
-    "random_models",
     "random_unit_vector",
-    "saturating_model",
-    "sphere_grid",
     "state_from_tensor",
     "svd3",
     "sweep",
     "tensor_norm_sq",
-    "uniform_sphere",
     "validate_state",
     "werner",
     "werner_family",
-]
+    *_LAZY,
+])

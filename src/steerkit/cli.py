@@ -7,14 +7,11 @@ range failure, 3 verification failure, 4 no detection on [0, 1].
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
 import numpy as np
 
-from . import verify
 from .criteria import (
     Criterion,
     NoDetection,
@@ -157,26 +154,19 @@ def _parse_grid(spec: str) -> np.ndarray:
 def cmd_sweep(args) -> int:
     family = family_from_name(args.family, args.alpha)
     result = sweep(family, _parse_grid(args.grid))
-    fmt = lambda x: format(x, ".12g")
     alpha = family.shape_parameters.get("alpha")
-    prefix = [family.name, "" if alpha is None else fmt(alpha)]
-    # One column per criterion in ladder order: ent, steer, bell, chsh.
-    flags = [detected(margin).astype(int).tolist()
-             for _, _, margin in result.rows.values()]
+    # One template per row: no field holds a comma or a quote, so none needs
+    # CSV quoting, and '%.12g' % x prints what format(x, ".12g") does.
+    row = (f"{family.name},{'' if alpha is None else format(alpha, '.12g')},"
+           "%.12g,%.12g,%.12g,%d,%d,%d,%d,%.12g\n")
+    # One flag column per criterion in ladder order: ent, steer, bell, chsh.
+    flags = [detected(margin).tolist() for _, _, margin in result.rows.values()]
     steer_margin = result.rows[Criterion.GEOMETRIC_STEERING][2]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["family", "alpha", "v", "T1", "normSq", "ent", "steer", "bell", "chsh",
-         "steer_margin"]
-    )
-    writer.writerows(
-        [*prefix, fmt(v), fmt(t1), fmt(n), *flag, fmt(m)]
-        for v, t1, n, m, *flag in zip(
-            result.v.tolist(), result.sigma[:, 0].tolist(),
-            result.norm_sq.tolist(), steer_margin.tolist(), *flags)
-    )
-    _write(buf.getvalue(), args.out)
+    _write("".join([
+        "family,alpha,v,T1,normSq,ent,steer,bell,chsh,steer_margin\n",
+        *map(row.__mod__, zip(result.v.tolist(), result.sigma[:, 0].tolist(),
+                              result.norm_sq.tolist(), *flags, steer_margin.tolist())),
+    ]), args.out)
     return EXIT_OK
 
 
@@ -194,6 +184,8 @@ def cmd_threshold(args) -> int:
 
 def cmd_verify(args) -> int:
     """Print the records of ``verify.run_checks`` as a table; exit 3 if one failed."""
+    from . import verify  # the only command that needs the oracle and the quadrature
+
     checks = verify.run_checks(args.level, args.seed)
     print(f"verification level={args.level} seed={args.seed}")
     header = f"{'check':<42} {'target':<28} {'computed':>14} {'defect':>12} {'tol':>9} status"

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -241,7 +242,7 @@ def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[flo
     axes, hidden, coeffs = (np.concatenate([getattr(model, name) for model in models])
                             for name in ("axes", "hidden", "coeffs"))
     terms = (coeffs * ((axes @ tensor.block) * hidden).sum(axis=1)).tolist()
-    stops = np.cumsum([len(model.coeffs) for model in models]).tolist()
+    stops = list(accumulate(len(model.coeffs) for model in models))
     return [(4.0 * math.pi / 3.0) * math.fsum(terms[start:stop])
             for start, stop in zip([0, *stops], stops)]
 

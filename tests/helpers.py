@@ -1,5 +1,8 @@
 """Shared test utilities and independent oracles."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 import steerkit as sk
@@ -95,3 +98,11 @@ def perturb_low_grid(monkeypatch) -> None:
         return sk.SphereGrid(grid.points, w)
 
     monkeypatch.setattr(sk.sphere, "sphere_grid", perturbed)
+
+
+def python_env() -> dict:
+    """The environment of a fresh interpreter that imports this steerkit."""
+    src = str(Path(sk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -2,10 +2,9 @@ import contextlib
 import csv
 import io
 import json
-import os
+import math
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steerkit as sk
-from helpers import perturb_low_grid, state_to_document
+from helpers import perturb_low_grid, python_env, state_to_document
 from steerkit import cli, verify
 
 
@@ -162,11 +161,8 @@ def test_analyze_document_not_utf8(tmp_path, capsys):
 
 def run_process(*argv):
     # A fresh interpreter, for failures that would escape cli.main in-process.
-    src = str(Path(sk.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "steerkit.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=python_env())
 
 
 def test_analyze_deeply_nested_document(tmp_path):
@@ -628,6 +624,43 @@ def test_sweep_property(family, grid, alpha):
     assert_documented(run_in_process(*argv), (0, 1, 2))
 
 
+def csv_sweep_table(family, alpha, grid):
+    """The sweep table as csv.writer writes it, each number by format(x, ".12g")."""
+    result = sk.sweep(sk.family_from_name(family, alpha), np.linspace(*grid))
+    fmt = lambda x: format(x, ".12g")
+    flags = [sk.criteria.detected(margin).astype(int).tolist()
+             for _, _, margin in result.rows.values()]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["family", "alpha", "v", "T1", "normSq", "ent", "steer", "bell",
+                     "chsh", "steer_margin"])
+    writer.writerows(
+        [family, "" if alpha is None else fmt(alpha), fmt(v), fmt(t1), fmt(n), *flag, fmt(m)]
+        for v, t1, n, m, *flag in zip(
+            result.v.tolist(), result.sigma[:, 0].tolist(), result.norm_sq.tolist(),
+            result.rows[sk.Criterion.GEOMETRIC_STEERING][2].tolist(), *flags))
+    return buf.getvalue()
+
+
+SWEEP_GRIDS = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                        st.sampled_from([0, 1, 2, 10_000]) | st.integers(0, 60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.none() | st.floats(0.0, math.pi), SWEEP_GRIDS)
+@example(-0.0, (0.0, 1.0, 10_000))
+@example(5e-324, (0.0, 1.0, 1))
+@example(math.pi, (0.0, 1.0, 0))
+@example(None, (0.5, 0.5, 3))
+@example(None, (0.0, 1.0, 10_001))
+def test_sweep_table_is_the_csv_rendering(alpha, grid):
+    start, stop, count = min(grid[:2]), max(grid[:2]), grid[2]
+    family = "werner" if alpha is None else "noisy-schmidt"
+    argv = with_options(["sweep", f"--family={family}"], grid=f"{start!r}:{stop!r}:{count}",
+                        alpha=None if alpha is None else repr(alpha))
+    assert run_in_process(*argv) == (0, csv_sweep_table(family, alpha, (start, stop, count)), "")
+
+
 @settings(max_examples=100, deadline=None)
 @given(FAMILIES, st.sampled_from(["entanglement", "steering", "bell", "chsh", "none"]),
        st.none() | OPTION_TEXT)
@@ -643,12 +676,44 @@ def test_threshold_property(family, criterion, alpha):
 
 
 def test_cli_import_does_not_load_scipy():
-    src = str(Path(sk.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, steerkit.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=python_env(), check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+BENCH_MODULES = ["csv", "steerkit.oracle", "steerkit.sphere", "steerkit.verify"]
+LOADED_PER_COMMAND = """
+import contextlib, io, json, sys
+from steerkit import cli
+
+def loaded():
+    return [name for name in %r if name in sys.modules]
+
+seen = {"import": loaded()}
+for argv in (["analyze", "--family", "werner", "--v", "0.6"],
+             ["sweep", "--family", "werner", "--grid", "0:1:5"],
+             ["threshold", "--family", "werner", "--criterion", "steering"],
+             ["verify", "--level", "fast"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    seen[argv[0]] = loaded()
+print(json.dumps({"seen": seen, "code": code, "verify": out.getvalue()}))
+"""
+
+
+def test_criteria_commands_load_no_bench_module(capsys):
+    # In a fresh interpreter the import and the criteria commands load
+    # neither the oracle, the quadrature, the bench nor csv; verify loads
+    # the three when it runs, and prints what it prints in this process.
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_PER_COMMAND % BENCH_MODULES],
+        capture_output=True, text=True, env=python_env(), check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["seen"] == {"import": [], "analyze": [], "sweep": [], "threshold": [],
+                              "verify": BENCH_MODULES[1:]}
+    assert (result["code"], result["verify"]) == run(capsys, "verify", "--level", "fast")[:2]

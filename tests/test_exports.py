@@ -1,9 +1,62 @@
 """The package's export list matches what the package defines."""
 
+import subprocess
+import sys
+
+import pytest
+
 import steerkit as sk
+from helpers import python_env
 
 
 def test_all_names_resolve_once():
     assert len(sk.__all__) == len(set(sk.__all__))
     missing = [name for name in sk.__all__ if not hasattr(sk, name)]
     assert missing == []
+
+
+def test_star_import_binds_every_listed_name():
+    assert set(sk.__all__) <= set(dir(sk))
+    namespace = {}
+    exec("from steerkit import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(sk.__all__)
+    assert len(sk.__all__) == 49
+
+
+def test_each_export_is_its_module_binding():
+    exports = {name: getattr(sk, name) for name in sk.__all__}
+    differ = [name for name, value in exports.items()
+              if vars(sys.modules[value.__module__]).get(name) is not value]
+    assert differ == []
+
+
+def test_lazy_export_follows_a_patched_module(monkeypatch):
+    # Tracers and fault tests patch the defining module; the package name
+    # must reach the patch, not a copy taken at first access.
+    sk.model_state_overlap
+    patched = object()
+    monkeypatch.setattr(sk.oracle, "model_state_overlap", patched)
+    assert sk.model_state_overlap is patched
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sk.no_such_name
+
+
+LAZY_IMPORT = """
+import sys, steerkit
+
+def loaded():
+    return [m for m in ("steerkit.oracle", "steerkit.sphere") if m in sys.modules]
+
+before = loaded()
+from steerkit import oracle, sphere
+print(before, loaded(), steerkit.sphere_grid is sphere.sphere_grid, steerkit.oracle is oracle)
+"""
+
+
+def test_package_import_defers_oracle_and_sphere():
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORT], capture_output=True,
+                          text=True, env=python_env(), check=True)
+    assert proc.stdout.strip() == "[] ['steerkit.oracle', 'steerkit.sphere'] True True"
