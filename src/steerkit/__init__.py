@@ -50,7 +50,6 @@ _LAZY = {
         "HiddenStateModel",
         "ModelComponent",
         "SignResponse",
-        "chsh_ns_max",
         "lhv_bound",
         "model_state_overlap",
         "model_state_overlap_mc",

@@ -314,38 +314,3 @@ def random_models(rng: np.random.Generator, count: int) -> list[HiddenStateModel
     columns = _columns(weights, hidden, kinds, scale[:, None] * axes, values)
     return [_set_columns(object.__new__(HiddenStateModel), [c[start:stop] for c in columns])
             for start, stop in zip(starts.tolist(), stops.tolist())]
-
-
-def _direction_grid(step_deg: float) -> np.ndarray:
-    degrees = np.arange(0.0, 180.0 + 0.5 * step_deg, step_deg)
-    thetas = np.deg2rad(degrees)
-    phis = np.deg2rad(np.arange(0.0, 360.0, step_deg))
-    st, ct = np.sin(thetas), np.cos(thetas)
-    x = np.outer(st, np.cos(phis)).ravel()
-    y = np.outer(st, np.sin(phis)).ravel()
-    z = np.repeat(ct, len(phis))
-    # A pole (theta = 0 or 180 degrees) is one direction, not a ring.
-    keep = (np.arange(len(phis)) == 0) | (degrees % 180.0 != 0.0)[:, None]
-    return np.column_stack([x, y, z])[keep.ravel()]
-
-
-def chsh_ns_max(step_deg: float = 15.0) -> float:
-    """Maximize the two-setting expression over all directions.
-
-    Deterministic scan over a step_deg grid for each of the three
-    directions. With a = b1 + b2 and b = b1 - b2, which are orthogonal,
-    the expression |a . lambda| + |b . lambda| is at most
-    sqrt(|a|^2 + |b|^2) = 2. With x = b1 . lambda and y = b2 . lambda it
-    is |x + y| + |x - y| = 2 max(|x|, |y|), so the scan over triples takes
-    2 max |b . lambda| over pairs of grid directions. Every grid holds the
-    pole theta = 0, where b1 = b2 = lambda = z attains exactly 2, so the
-    scan checks the analytic maximum from both sides: no grid triple
-    exceeds it, and one reaches it.
-    """
-    if not 0.0 < step_deg <= 180.0:
-        raise ValueError(f"step_deg must lie in (0, 180], got {step_deg!r}")
-    dirs = _direction_grid(step_deg)
-    # Blocks of rows of about 2e5 dot products: each stays near 1.6 MB.
-    chunk = max(1, 200_000 // len(dirs))
-    return 2.0 * max(float(np.abs(dirs[start:start + chunk] @ dirs.T).max())
-                     for start in range(0, len(dirs), chunk))

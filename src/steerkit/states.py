@@ -120,9 +120,9 @@ def validate_state(entries) -> DensityMatrix4:
 class CorrelationTensor:
     """Pauli expansion coefficients T[mu, nu] of a two-qubit state.
 
-    ``full`` is the 4x4 table with full[0, 0] == 1; ``block`` is the 3x3
-    correlation tensor T_ij, ``alice_marginal`` the column T_i0 and
-    ``bob_marginal`` the row T_0j.
+    ``full`` is the 4x4 table with full[0, 0] == 1, Alice's marginal in
+    the column full[1:, 0] and Bob's in the row full[0, 1:]; ``block`` is
+    the 3x3 correlation tensor T_ij.
     """
 
     full: np.ndarray
@@ -144,14 +144,6 @@ class CorrelationTensor:
     @property
     def block(self) -> np.ndarray:
         return self.full[1:, 1:]
-
-    @property
-    def alice_marginal(self) -> np.ndarray:
-        return self.full[1:, 0]
-
-    @property
-    def bob_marginal(self) -> np.ndarray:
-        return self.full[0, 1:]
 
 
 def unit_vector(v) -> np.ndarray:
@@ -228,10 +220,6 @@ class ConditionalState(NamedTuple):
     probability: float
     bloch: np.ndarray | None
     weighted_bloch: np.ndarray
-
-    @property
-    def zero_probability_branch(self) -> bool:
-        return self.bloch is None
 
 
 def conditional_state(state: DensityMatrix4, x, a: int) -> ConditionalState:

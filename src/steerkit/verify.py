@@ -1,6 +1,10 @@
 """The verify bench: the paper's integral identities and the steering and LHV
 bounds checked numerically, one record per check.
 
+The CHSH line alone takes its correlations by the Born rule on the density
+matrix, not from the Pauli expansion the other lines share, so it sees a
+wrong expansion.
+
 Every call goes through a module binding (``states.pauli_expansion``,
 ``sphere.sphere_grid``, ...), so patching a module attribute, as the
 perfbench tracer and the fault tests do, reaches the bench.
@@ -52,10 +56,30 @@ def _signed_first_moment(grid: sphere.SphereGrid, frame: np.ndarray) -> np.ndarr
     return (grid.weights * np.sign(points @ frame[0])) @ points
 
 
+def _chsh_born_defect(state: states.DensityMatrix4) -> float:
+    """|S / (2 sqrt(T1^2+T2^2)) - 1| at Horodecki's settings a = u1, a' = u2,
+    b, b' = c v1 +- s v2, (c, s) = (T1, T2) / sqrt(T1^2+T2^2), each
+    E(x, y) = sum r1 r2 P(r1, r2 | x, y) by the Born rule on rho, not from T."""
+    schmidt = _svd3.svd3(states.pauli_expansion(state).block)
+    t12 = math.hypot(schmidt.t1, schmidt.t2)
+    (u1, u2, _), (v1, v2, _) = schmidt.u, schmidt.v
+    c, s = schmidt.t1 / t12, schmidt.t2 / t12
+    b, b_prime = c * v1 + s * v2, c * v1 - s * v2
+
+    def e(x, y):
+        return sum(r1 * r2 * states.joint_probability(state, x, y, r1, r2)
+                   for r1 in (1, -1) for r2 in (1, -1))
+
+    chsh = e(u1, b) + e(u1, b_prime) + e(u2, b) - e(u2, b_prime)
+    return abs(chsh / (2.0 * t12) - 1.0)
+
+
 def run_checks(level: str, seed: int) -> list[Check]:
     """The bench's records in print order. ``level`` is "fast" or "full"
-    (more draws and a Monte Carlo line); every draw comes from one
-    ``default_rng(seed)``, so the records are fixed by the seed."""
+    (more draws and a Monte Carlo line), else ValueError; every draw comes
+    from one ``default_rng(seed)``, so the records are fixed by the seed."""
+    if level not in ("fast", "full"):
+        raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     fast = level == "fast"
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
@@ -127,8 +151,7 @@ def run_checks(level: str, seed: int) -> list[Check]:
         z = abs(estimate - exact) / stderr
         checks.append(Check("ns overlap Monte Carlo (1e6 samples)", "z <= 3", z, z, 3.0))
 
-    value = oracle.chsh_ns_max(step_deg=30.0 if fast else 15.0)
-    checks.append(Check("chsh ns maximum", "2", value, abs(value - 2.0), 1e-6))
+    chsh_at = len(checks)  # printed here, drawn last: the other lines keep their draws
 
     # |cos theta| has a kink at the equator, so only the split grid is exact.
     g_split = sphere.sphere_grid(8, breakpoints=(0.0,))
@@ -148,4 +171,8 @@ def run_checks(level: str, seed: int) -> list[Check]:
         a, b = (_signed_first_moment(g_split, frame) for frame in (schmidt.u, schmidt.v))
         worst = max(worst, abs(float(a @ tensor.block @ b) / oracle.lhv_bound(schmidt) - 1.0))
     checks.append(Check("lhv bound saturation (5 states)", "(2pi)^2 T1", worst, worst, 1e-12))
+
+    worst = max(_chsh_born_defect(states.random_density_matrix(rng)) for _ in range(5))
+    checks.insert(chsh_at, Check("chsh maximum, Born rule (5 states)", "2 sqrt(T1^2+T2^2)",
+                                 worst, worst, 1e-12))
     return checks

@@ -141,10 +141,36 @@ def test_criterion_6_ns_bound_and_tightness():
            f"{elapsed:.1f}s")
 
 
-def test_criterion_7_chsh_ns_maximum():
-    value = sk.chsh_ns_max()
-    ok = abs(value - 2.0) <= 1e-6
-    report(7, ok, f"chsh ns maximum {value:.9f}")
+def born_rule_chsh(state, schmidt):
+    """E(a,b) + E(a,b') + E(a',b) - E(a',b') at Horodecki's settings a = u1,
+    a' = u2, b, b' = c v1 +- s v2, each E summed from joint probabilities."""
+    (u1, u2, _), (v1, v2, _) = schmidt.u, schmidt.v
+    c, s = np.array([schmidt.t1, schmidt.t2]) / math.hypot(schmidt.t1, schmidt.t2)
+
+    def e(x, y):
+        return sum(r1 * r2 * sk.joint_probability(state, x, y, r1, r2)
+                   for r1 in (1, -1) for r2 in (1, -1))
+
+    b, b_prime = c * v1 + s * v2, c * v1 - s * v2
+    return e(u1, b) + e(u1, b_prime) + e(u2, b) - e(u2, b_prime)
+
+
+def test_criterion_7_chsh_misses_steering():
+    # The paper's gap: Werner states with 1/2 < v < 1/sqrt(2) are steerable by
+    # the geometric criterion, yet their CHSH maximum 2 sqrt(2) v stays below 2.
+    values, gap = {}, []
+    for v in (0.45, 0.6, 0.7, 0.75, 0.9):
+        state = sk.werner(v)
+        _, schmidt, _, rows = criteria_for_state(state)
+        values[v] = born_rule_chsh(state, schmidt)
+        assert values[v] == pytest.approx(2.0 * math.sqrt(2.0) * v, abs=1e-12), v
+        steering = sk.criteria.detected(rows[sk.Criterion.GEOMETRIC_STEERING][2])
+        assert steering == (v > 0.5), v
+        if steering and values[v] < 2.0:
+            gap.append(v)
+    ok = gap == [0.6, 0.7]
+    report(7, ok, "born-rule chsh " + ", ".join(f"v={v}: {s:.12f}" for v, s in values.items())
+           + f"; steerable below 2 at v = {gap}")
 
 
 def test_criterion_8_proof_constants():
@@ -190,7 +216,7 @@ def test_criterion_9_property_suites():
         plus = sk.conditional_state(state, x, 1)
         minus = sk.conditional_state(state, x, -1)
         mixture = plus.weighted_bloch + minus.weighted_bloch
-        marginal = sk.pauli_expansion(state).bob_marginal
+        marginal = sk.pauli_expansion(state).full[0, 1:]
         worst_ns = max(worst_ns, float(np.max(np.abs(mixture - marginal))))
     assert worst_ns <= 1e-12
 

@@ -440,7 +440,7 @@ FAST_TABLE = [
     ("vector integral identity (20 draws)", "(4pi/3) m.T lambda", "1e-12", "pass"),
     ("ns inequality (1000 models)", "(E_Q,E_NS) <= (8pi^2/3) T1", "1e-06", "pass"),
     ("ns bound saturation (5 states)", "(8pi^2/3) T1", "1e-06", "pass"),
-    ("chsh ns maximum", "2", "1e-06", "pass"),
+    ("chsh maximum, Born rule (5 states)", "2 sqrt(T1^2+T2^2)", "1e-12", "pass"),
     ("abs-cos integral (split grid)", "2pi", "1e-12", "pass"),
     ("projection constant", "sqrt(3pi)", "1e-12", "pass"),
     ("lhv bound saturation (5 states)", "(2pi)^2 T1", "1e-12", "pass"),
@@ -460,7 +460,6 @@ def test_verify_fast_table_pinned(capsys):
     assert parsed == FAST_TABLE
     values = {r[:42].rstrip(): r[72:86].strip() for r in rows}
     assert values["ns inequality (1000 models)"] == "-1.197417e-01"
-    assert values["chsh ns maximum"] == "2.000000e+00"
 
 
 def test_verify_run_checks_records():
@@ -468,6 +467,12 @@ def test_verify_run_checks_records():
     assert [(c.name, c.target, format(c.tol, ".0e"), "pass" if c.passed else "FAIL")
             for c in checks] == FAST_TABLE
     assert all(c.passed == (c.defect <= c.tol) for c in checks)
+
+
+@pytest.mark.parametrize("level", ["Fast", "quick", "", None])
+def test_verify_run_checks_rejects_unknown_level(level):
+    with pytest.raises(ValueError, match="level"):
+        verify.run_checks(level, 42)
 
 
 def test_verify_full_passes(capsys):
@@ -501,25 +506,15 @@ def test_verify_injected_fault_fails(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("usage:")
 
 
-def test_verify_lhv_coefficient_fault_fails_one_line(capsys, monkeypatch):
-    # The LHV bound's saturation is integrated, so a wrong coefficient shows.
-    monkeypatch.setattr(sk.oracle, "_LHV_COEFF", sk.oracle._LHV_COEFF * 1.01)
-    code, out, _ = run(capsys, "verify", "--level", "fast")
-    assert code == 3
-    failed = [r[:42].rstrip() for r in out.splitlines() if r.endswith("FAIL")]
-    assert failed == ["lhv bound saturation (5 states)"]
-    assert out.splitlines()[-1] == "1 of 11 checks FAILED"
-
-
 def test_verify_takes_one_svd_per_tensor(monkeypatch):
-    # Five tensors each for the ns inequality, its saturation and the LHV
-    # bound's saturation; every decomposition goes through np.linalg.svd,
-    # whatever binding of svd3 called it.
+    # Five tensors each for the ns inequality, its saturation, the LHV
+    # bound's saturation and the Born-rule CHSH maximum; every decomposition
+    # goes through np.linalg.svd, whatever binding of svd3 called it.
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a: calls.append(a) or svd(a))
     verify.run_checks("fast", 42)
-    assert len(calls) == 15
+    assert len(calls) == 20
 
 
 # --- properties over the command line ---------------------------------------------

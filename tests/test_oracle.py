@@ -703,43 +703,3 @@ def test_monte_carlo_blocks_merge_exactly():
     values = (4.0 * np.pi) ** 2 * np.concatenate(values)
     assert estimate == pytest.approx(values.mean(), rel=1e-12, abs=1e-12)
     assert stderr == pytest.approx(values.std(ddof=1) / np.sqrt(samples), rel=1e-12)
-
-
-# --- the two-setting comparison ---------------------------------------------------
-
-
-def test_chsh_grid_alone_reaches_two():
-    value = sk.chsh_ns_max(step_deg=30.0)
-    assert 2.0 - 1e-12 <= value <= 2.0 + 1e-9
-
-
-def test_chsh_ns_max_value():
-    value = sk.chsh_ns_max(step_deg=15.0)
-    assert 2.0 - 1e-6 <= value <= 2.0 + 1e-9
-
-
-def test_chsh_ns_max_fine_step_stays_small():
-    # Finer steps land one ulp higher (2.000000000000001 at 3 degrees), so
-    # no exact float is pinned.
-    tracemalloc.start()
-    try:
-        value = sk.chsh_ns_max(step_deg=6.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert abs(value - 2.0) <= 1e-15
-    assert peak < 8e6
-
-
-@pytest.mark.parametrize("step_deg, size", [(30.0, 62), (15.0, 266), (6.0, 1742)])
-def test_chsh_grid_has_each_direction_once(step_deg, size):
-    # The poles theta = 0 and 180 degrees are single directions, not rings.
-    dirs = sk.oracle._direction_grid(step_deg)
-    assert len(dirs) == size
-    assert len(np.unique(np.round(dirs, 12), axis=0)) == size
-
-
-@pytest.mark.parametrize("step_deg", [0.0, -15.0, np.nan, np.inf, 180.5])
-def test_chsh_ns_max_rejects_bad_step(step_deg):
-    with pytest.raises(ValueError):
-        sk.chsh_ns_max(step_deg=step_deg)

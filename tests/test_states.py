@@ -141,8 +141,8 @@ def test_expansion_maximally_mixed():
 def test_expansion_werner_block():
     tensor = sk.pauli_expansion(sk.werner(0.37))
     np.testing.assert_allclose(tensor.block, np.diag([-0.37] * 3), atol=1e-14)
-    np.testing.assert_allclose(tensor.alice_marginal, 0.0, atol=1e-14)
-    np.testing.assert_allclose(tensor.bob_marginal, 0.0, atol=1e-14)
+    np.testing.assert_allclose(tensor.full[1:, 0], 0.0, atol=1e-14)
+    np.testing.assert_allclose(tensor.full[0, 1:], 0.0, atol=1e-14)
 
 
 def test_expansion_product_state():
@@ -312,7 +312,7 @@ def test_singlet_conditional_state():
     outcome = sk.conditional_state(sk.werner(1.0), Z, 1)
     assert outcome.probability == pytest.approx(0.5, abs=1e-14)
     np.testing.assert_allclose(outcome.bloch, [0.0, 0.0, -1.0], atol=1e-13)
-    assert not outcome.zero_probability_branch
+    assert outcome.bloch is not None
 
 
 def test_maximally_mixed_not_steered():
@@ -326,7 +326,6 @@ def test_zero_probability_branch():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     outcome = sk.conditional_state(sk.validate_state(rho), Z, -1)
-    assert outcome.zero_probability_branch
     assert outcome.bloch is None
     assert outcome.probability < 1e-14
     np.testing.assert_allclose(outcome.weighted_bloch, 0.0, atol=1e-14)
@@ -341,7 +340,7 @@ def test_non_signaling():
         minus = sk.conditional_state(state, x, -1)
         assert plus.probability + minus.probability == pytest.approx(1.0, abs=1e-12)
         mixture = plus.weighted_bloch + minus.weighted_bloch
-        marginal = sk.pauli_expansion(state).bob_marginal
+        marginal = sk.pauli_expansion(state).full[0, 1:]
         assert np.max(np.abs(mixture - marginal)) <= 1e-12
 
 
