@@ -3,46 +3,34 @@ Bell nonlocality, verified by spherical quadrature."""
 
 import importlib
 
-from .criteria import (
-    Criterion,
-    NoDetection,
-    critical_noise,
-    ladder,
-    tensor_norm_sq,
-)
-from .families import (
-    NoiseFamily,
-    ParameterOutOfRange,
-    family_from_name,
-    noisy_schmidt,
-    noisy_schmidt_family,
-    sweep,
-    werner,
-    werner_family,
-)
-from .states import (
-    ConditionalState,
-    CorrelationTensor,
-    DensityMatrix4,
-    StateValidationError,
-    conditional_state,
-    correlation_fn,
-    joint_probability,
-    pauli_expansion,
-    random_density_matrix,
-    random_unit_vector,
-    state_from_tensor,
-    validate_state,
-)
-from .svd3 import SchmidtForm, svd3
+# Bound first and eagerly: importing the submodule ``steerkit.svd3`` sets the
+# package attribute of that name to the module, which would hide the function.
+from .svd3 import svd3
 
 __version__ = "0.1.0"
 
-# The oracle and the quadrature are loaded on first access (PEP 562), so
-# that the criteria commands never import them. Each access reads the
-# module's current attribute, so patching ``steerkit.oracle.X`` reaches
-# ``steerkit.X`` too.
-_LAZY = {
+# Every other export, by the module that defines it. Each loads on first
+# access (PEP 562), so a command imports only the modules it runs. Each
+# access reads the module's current attribute, so patching
+# ``steerkit.<module>.X`` reaches ``steerkit.X`` too.
+_EXPORTS = {
+    **dict.fromkeys([
+        "Criterion",
+        "NoDetection",
+        "critical_noise",
+        "ladder",
+        "tensor_norm_sq",
+    ], "criteria"),
+    **dict.fromkeys([
+        "NoiseFamily",
+        "ParameterOutOfRange",
+        "family_from_name",
+        "noisy_schmidt",
+        "noisy_schmidt_family",
+        "sweep",
+        "werner",
+        "werner_family",
+    ], "families"),
     **dict.fromkeys([
         "ClippedLinearResponse",
         "ConstantResponse",
@@ -68,48 +56,34 @@ _LAZY = {
         "sphere_grid",
         "uniform_sphere",
     ], "sphere"),
+    **dict.fromkeys([
+        "ConditionalState",
+        "CorrelationTensor",
+        "DensityMatrix4",
+        "StateValidationError",
+        "conditional_state",
+        "correlation_fn",
+        "joint_probability",
+        "pauli_expansion",
+        "random_density_matrix",
+        "random_unit_vector",
+        "state_from_tensor",
+        "validate_state",
+    ], "states"),
+    "SchmidtForm": "svd3",
 }
 
 
 def __getattr__(name):
-    if name in _LAZY:
-        return getattr(__getattr__(_LAZY[name]), name)
-    if name in _LAZY.values():  # the module itself
+    if name in _EXPORTS:
+        return getattr(__getattr__(_EXPORTS[name]), name)
+    if name in _EXPORTS.values():  # the module itself
         return importlib.import_module("." + name, __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY})
+    return sorted({*globals(), *_EXPORTS})
 
 
-__all__ = sorted([
-    "ConditionalState",
-    "CorrelationTensor",
-    "Criterion",
-    "DensityMatrix4",
-    "NoDetection",
-    "NoiseFamily",
-    "ParameterOutOfRange",
-    "SchmidtForm",
-    "StateValidationError",
-    "conditional_state",
-    "correlation_fn",
-    "critical_noise",
-    "family_from_name",
-    "joint_probability",
-    "ladder",
-    "noisy_schmidt",
-    "noisy_schmidt_family",
-    "pauli_expansion",
-    "random_density_matrix",
-    "random_unit_vector",
-    "state_from_tensor",
-    "svd3",
-    "sweep",
-    "tensor_norm_sq",
-    "validate_state",
-    "werner",
-    "werner_family",
-    *_LAZY,
-])
+__all__ = sorted(["svd3", *_EXPORTS])

@@ -7,7 +7,6 @@ range failure, 3 verification failure, 4 no detection on [0, 1].
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -21,7 +20,7 @@ from .criteria import (
     ladder,
     tensor_norm_sq,
 )
-from .families import ParameterOutOfRange, family_from_name, sweep
+from .families import FAMILY_NAMES, ParameterOutOfRange, family_from_name, sweep
 from .states import DensityMatrix4, StateValidationError, pauli_expansion, validate_state
 from .svd3 import svd3
 
@@ -65,6 +64,8 @@ def parse_state_document(data: dict) -> tuple[DensityMatrix4, str]:
 
 
 def _load_state(args) -> tuple[DensityMatrix4, str]:
+    import json  # only analyze reads or writes JSON
+
     if args.state is not None:
         given = [f"--{k}" for k in ("family", "v", "alpha") if getattr(args, k) is not None]
         if given:
@@ -132,6 +133,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
+    import json
+
     state, label = _load_state(args)
     report = analysis_report(state, label)
     _write(json.dumps(report, indent=2) + "\n", args.out)
@@ -224,13 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full criterion report for one state")
     p.add_argument("state", nargs="?", default=None,
                    help="path to a JSON state document")
-    p.add_argument("--family", choices=["werner", "noisy-schmidt"])
+    p.add_argument("--family", choices=FAMILY_NAMES)
     p.add_argument("--v", type=float, help="noise parameter in [0, 1]")
     p.add_argument("--alpha", type=float, help="shape angle for noisy-schmidt")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("sweep", help="criteria table over a parameter grid")
-    p.add_argument("--family", required=True, choices=["werner", "noisy-schmidt"])
+    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--grid", default="0:1:101", help="v grid as START:STOP:COUNT")
     p.add_argument("--out", help="write the CSV table here instead of stdout")
@@ -240,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=42)
 
     p = sub.add_parser("threshold", help="critical noise for one criterion")
-    p.add_argument("--family", required=True, choices=["werner", "noisy-schmidt"])
+    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--criterion", required=True, choices=[c.value for c in Criterion])
     p.add_argument("--alpha", type=float)
     return parser

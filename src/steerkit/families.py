@@ -111,6 +111,9 @@ def noisy_schmidt_family(alpha: float) -> NoiseFamily:
     )
 
 
+FAMILY_NAMES = ("werner", "noisy-schmidt")  # the names family_from_name takes
+
+
 def family_from_name(name: str, alpha: float | None = None) -> NoiseFamily:
     if name == "werner":
         if alpha is not None:

@@ -712,3 +712,21 @@ def test_criteria_commands_load_no_bench_module(capsys):
     assert result["seen"] == {"import": [], "analyze": [], "sweep": [], "threshold": [],
                               "verify": BENCH_MODULES[1:]}
     assert (result["code"], result["verify"]) == run(capsys, "verify", "--level", "fast")[:2]
+
+
+SWEEP_AND_THRESHOLD = """
+import contextlib, io, sys
+from steerkit import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["sweep", "--family", "werner", "--grid", "0:1:5"]),
+             cli.main(["threshold", "--family", "werner", "--criterion", "steering"])]
+print(codes, "json" in sys.modules)
+"""
+
+
+def test_sweep_and_threshold_load_no_json():
+    # Only analyze reads or writes JSON, so the other commands never import it.
+    proc = subprocess.run([sys.executable, "-c", SWEEP_AND_THRESHOLD], capture_output=True,
+                          text=True, env=python_env(), check=True)
+    assert proc.stdout.strip() == "[0, 0] False"

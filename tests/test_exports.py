@@ -32,11 +32,16 @@ def test_each_export_is_its_module_binding():
 
 def test_lazy_export_follows_a_patched_module(monkeypatch):
     # Tracers and fault tests patch the defining module; the package name
-    # must reach the patch, not a copy taken at first access.
-    sk.model_state_overlap
-    patched = object()
-    monkeypatch.setattr(sk.oracle, "model_state_overlap", patched)
-    assert sk.model_state_overlap is patched
+    # must reach the patch, not a copy taken at first access. One name per
+    # module; ``svd3`` alone is bound eagerly.
+    for module, name in [("criteria", "ladder"), ("families", "werner"),
+                         ("states", "pauli_expansion"), ("oracle", "model_state_overlap"),
+                         ("sphere", "sphere_grid"), ("svd3", "SchmidtForm")]:
+        getattr(sk, name)
+        patched = object()
+        # By the module object: the dotted path "steerkit.svd3" names the function.
+        monkeypatch.setattr(sys.modules[f"steerkit.{module}"], name, patched)
+        assert getattr(sk, name) is patched, name
 
 
 def test_unknown_name_raises_attribute_error():
@@ -48,15 +53,31 @@ LAZY_IMPORT = """
 import sys, steerkit
 
 def loaded():
-    return [m for m in ("steerkit.oracle", "steerkit.sphere") if m in sys.modules]
+    return sorted(m for m in sys.modules if m.startswith("steerkit."))
 
 before = loaded()
 from steerkit import oracle, sphere
-print(before, loaded(), steerkit.sphere_grid is sphere.sphere_grid, steerkit.oracle is oracle)
+print(before, {"steerkit.oracle", "steerkit.sphere"} <= set(loaded()),
+      steerkit.sphere_grid is sphere.sphere_grid, steerkit.oracle is oracle)
 """
 
 
 def test_package_import_defers_oracle_and_sphere():
+    # Every export but ``svd3`` loads on first access, so the import loads
+    # no other submodule; importing two of them binds them as usual.
     proc = subprocess.run([sys.executable, "-c", LAZY_IMPORT], capture_output=True,
                           text=True, env=python_env(), check=True)
-    assert proc.stdout.strip() == "[] ['steerkit.oracle', 'steerkit.sphere'] True True"
+    assert proc.stdout.strip() == "['steerkit.svd3'] True True True"
+
+
+SVD3_AFTER_SUBMODULES = """
+import sys
+import steerkit.svd3, steerkit.states
+print(steerkit.svd3 is sys.modules["steerkit.svd3"].svd3)
+"""
+
+
+def test_svd3_stays_the_function_after_its_module_is_imported():
+    proc = subprocess.run([sys.executable, "-c", SVD3_AFTER_SUBMODULES], capture_output=True,
+                          text=True, env=python_env(), check=True)
+    assert proc.stdout.strip() == "True"

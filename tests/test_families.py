@@ -90,6 +90,9 @@ def test_family_from_name():
         sk.family_from_name("ghz")
     with pytest.raises(sk.ParameterOutOfRange):
         sk.family_from_name("werner", alpha=1.0)
+    names = sk.families.FAMILY_NAMES  # the CLI's --family choices
+    assert tuple(sk.family_from_name(n, None if n == "werner" else 0.4).name
+                 for n in names) == names
 
 
 def test_sweep_grid_and_order():
