@@ -66,7 +66,6 @@ _EXPORTS = {
         "joint_probability",
         "pauli_expansion",
         "random_density_matrix",
-        "random_unit_vector",
         "state_from_tensor",
         "validate_state",
     ], "states"),

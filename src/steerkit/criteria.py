@@ -42,13 +42,10 @@ class Criterion(Enum):
     CHSH_HORODECKI = "chsh"
 
 
-# The ladder in order, as criterion: (c, d, s), with the bound
-# c·||T||^2 + d and the margin s·(bound - lhs), positive when detected.
-_LADDER = {
-    Criterion.GEOMETRIC_ENTANGLEMENT: (1.0, 0.0, 1.0),
-    Criterion.GEOMETRIC_STEERING: (2.0 / 3.0, 0.0, 1.0),
-    Criterion.GEOMETRIC_BELL: (4.0 / 9.0, 0.0, 1.0),
-    Criterion.CHSH_HORODECKI: (0.0, 1.0, -1.0),
+_GEOMETRIC = {
+    Criterion.GEOMETRIC_ENTANGLEMENT: 1.0,
+    Criterion.GEOMETRIC_STEERING: 2.0 / 3.0,
+    Criterion.GEOMETRIC_BELL: 4.0 / 9.0,
 }
 
 
@@ -65,10 +62,12 @@ def ladder(t1, t2, norm_sq) -> dict[Criterion, tuple]:
     geometric criteria and lhs - bound for CHSH.
     """
     rows = {}
-    for criterion, (c, d, s) in _LADDER.items():
-        lhs = t1 * t1 + t2 * t2 if criterion is Criterion.CHSH_HORODECKI else t1
-        bound = c * norm_sq + d
-        rows[criterion] = (lhs, bound, s * (bound - lhs))
+    for criterion, c in _GEOMETRIC.items():
+        bound = c * norm_sq
+        rows[criterion] = (t1, bound, bound - t1)
+    chsh = t1 * t1 + t2 * t2
+    # 0·||T||^2 gives the bound the shape of the inputs.
+    rows[Criterion.CHSH_HORODECKI] = (chsh, 0.0 * norm_sq + 1.0, chsh - 1.0)
     return rows
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from .criteria import block_norm_sq, ladder
 from .states import DensityMatrix4, pauli_expansion, validate_state
+from .svd3 import svd3
 
 
 class ParameterOutOfRange(ValueError):
@@ -69,11 +70,12 @@ class NoiseFamily:
     parameters fixed.
 
     The family declares ``pure_state`` = psi, so its correlation block is
-    exactly v·T(1). Both endpoints are validated once, so every state
-    between them is one by convexity. T(1) is kept as ``unit_block``, with
-    its singular values ``unit_sigma`` and squared norm ``unit_norm_sq``;
-    sweeps and thresholds scale these instead of calling ``state_at``,
-    which stays the reference for single states. Compared by identity.
+    exactly v·T(1). The v = 1 endpoint |psi><psi| is validated once; I/4
+    is a state, so every state between them is one by convexity. T(1) is
+    kept as ``unit_block``, with its singular values ``unit_sigma`` (from
+    svd3) and squared norm ``unit_norm_sq``; sweeps and thresholds scale
+    these instead of calling ``state_at``, which stays the reference for
+    single states. Compared by identity.
     """
 
     name: str
@@ -88,12 +90,12 @@ class NoiseFamily:
         psi = np.array(self.pure_state, dtype=complex)
         psi.setflags(write=False)
         object.__setattr__(self, "pure_state", psi)
-        _noisy_pure(psi, 0.0)
-        block = pauli_expansion(_noisy_pure(psi, 1.0)).block
-        sigma = np.linalg.svd(block, compute_uv=False)
-        sigma.setflags(write=False)
+        # An inf or huge psi overflows its outer product; it exits as NonFinite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pure = _noisy_pure(psi, 1.0)
+        block = pauli_expansion(pure).block
         object.__setattr__(self, "unit_block", block)
-        object.__setattr__(self, "unit_sigma", sigma)
+        object.__setattr__(self, "unit_sigma", svd3(block).sigma)
         object.__setattr__(self, "unit_norm_sq", float(block_norm_sq(block)))
 
 

@@ -213,8 +213,8 @@ class ConditionalState(NamedTuple):
 
     ``bloch`` is None on a zero-probability branch (probability below
     1e-14), where the conditional state is undefined. ``weighted_bloch``
-    is probability * bloch computed directly from the unnormalized
-    conditional operator and is well defined even then.
+    is probability * bloch taken directly from the joint probabilities
+    and is well defined even then.
     """
 
     probability: float
@@ -226,17 +226,15 @@ def conditional_state(state: DensityMatrix4, x, a: int) -> ConditionalState:
     """Collapse Bob's qubit on Alice's outcome a along direction x.
 
     Returns the outcome probability and the Bloch vector of Bob's
-    normalized conditional state. The weighted vectors of the two
-    branches sum to Bob's unconditional marginal (non-signaling).
+    normalized conditional state, both from joint_probability: the
+    probability is sum_r P(a, r | x, e_3) and the weighted vector's
+    component j is sum_r r P(a, r | x, e_j). The weighted vectors of the
+    two branches sum to Bob's unconditional marginal (non-signaling).
     """
-    x = unit_vector(x)
-    m = _projector(x, _check_outcome(a))
-    product = state.matrix @ np.kron(m, SIGMA_0)
-    reduced = np.einsum("ijil->jl", product.reshape(2, 2, 2, 2))
-    prob = float(np.trace(reduced).real)
-    weighted = np.array(
-        [float(np.trace(reduced @ s).real) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-    )
+    p = np.array([[joint_probability(state, x, e, a, r) for r in (1, -1)]
+                  for e in np.eye(3)])
+    prob = float(p[2].sum())
+    weighted = p[:, 0] - p[:, 1]
     if prob < ZERO_BRANCH_TOL:
         return ConditionalState(prob, None, _readonly(weighted))
     return ConditionalState(prob, _readonly(weighted / prob), _readonly(weighted))
@@ -248,12 +246,3 @@ def random_density_matrix(rng: np.random.Generator) -> DensityMatrix4:
     h = g @ g.conj().T
     h = 0.5 * (h + h.conj().T)
     return validate_state(h / np.trace(h).real)
-
-
-def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3)
-    norm = np.linalg.norm(v)
-    while norm < 1e-12:
-        v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
-    return v / norm

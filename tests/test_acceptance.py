@@ -212,7 +212,7 @@ def test_criterion_9_property_suites():
     worst_ns = 0.0
     for _ in range(200):
         state = sk.random_density_matrix(rng)
-        x = sk.random_unit_vector(rng)
+        x = sk.uniform_sphere(1, rng)[0]
         plus = sk.conditional_state(state, x, 1)
         minus = sk.conditional_state(state, x, -1)
         mixture = plus.weighted_bloch + minus.weighted_bloch

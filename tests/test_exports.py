@@ -20,7 +20,7 @@ def test_star_import_binds_every_listed_name():
     namespace = {}
     exec("from steerkit import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(sk.__all__)
-    assert len(sk.__all__) == 48
+    assert len(sk.__all__) == 47
 
 
 def test_each_export_is_its_module_binding():

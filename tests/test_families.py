@@ -183,8 +183,25 @@ def test_noisy_schmidt_family_checks_alpha_when_built():
 
 
 def test_declared_pure_state_is_validated():
-    with pytest.raises(sk.StateValidationError):
-        sk.NoiseFamily("unnormalised", sk.werner, np.ones(4))
+    # An overflowing outer product exits as a diagnostic, not a RuntimeWarning.
+    for psi in (np.ones(4), [np.nan, 1.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0],
+                [1e200, 0.0, 0.0, 0.0], [1e155, 1e155, 0.0, 0.0]):
+        with pytest.raises(sk.StateValidationError):
+            sk.NoiseFamily("unnormalised", sk.werner, psi)
+
+
+def test_family_spectrum_is_one_svd3_call(monkeypatch):
+    results = []
+
+    def counting(block):
+        results.append(sk.svd3(block))
+        return results[-1]
+
+    monkeypatch.setattr(sk.families, "svd3", counting)
+    for build in (sk.werner_family, lambda: sk.noisy_schmidt_family(0.9)):
+        family = build()
+        assert family.unit_sigma is results[-1].sigma
+    assert len(results) == 2
 
 
 def threshold_or_none(family, criterion):

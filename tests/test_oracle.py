@@ -176,7 +176,7 @@ def test_axial_response_is_the_clip_formula(norm):
     # itself on every setting. None is the sign, whose norm is inf.
     rng = np.random.default_rng(18)
     for _ in range(20):
-        axis = sk.random_unit_vector(rng)
+        axis = sk.uniform_sphere(1, rng)[0]
         response = (sk.SignResponse(axis) if norm is None
                     else sk.ClippedLinearResponse(norm * axis))
         model = single_component_model(Z, response)
@@ -199,7 +199,7 @@ def test_declared_overlaps_build_no_rule(monkeypatch):
     rng = np.random.default_rng(17)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
     for k in range(500):
-        axis = sk.random_unit_vector(rng)
+        axis = sk.uniform_sphere(1, rng)[0]
         response = (
             sk.ClippedLinearResponse((1.1 + k / 1000.0) * axis) if k % 3 == 0
             else sk.SignResponse(axis) if k % 3 == 1
@@ -220,8 +220,7 @@ def test_ns_correlation_zero_response():
     model = single_component_model(Z, sk.ConstantResponse(0.0))
     rng = np.random.default_rng(2)
     for _ in range(5):
-        m = sk.random_unit_vector(rng)
-        n = sk.random_unit_vector(rng)
+        m, n = sk.uniform_sphere(2, rng)
         assert sk.ns_correlation_fn(model)(m, n) == 0.0
 
 
@@ -238,8 +237,8 @@ def test_ns_correlation_two_components():
 def test_ns_correlation_fn_matches_scalar():
     rng = np.random.default_rng(3)
     model = sk.random_model(rng)
-    m = np.array([sk.random_unit_vector(rng) for _ in range(10)])
-    n = np.array([sk.random_unit_vector(rng) for _ in range(10)])
+    m = sk.uniform_sphere(10, rng)
+    n = sk.uniform_sphere(10, rng)
     batch = sk.ns_correlation_fn(model)(m, n)
     for k in range(10):
         # E_NS(m, n) = sum_k p_k I_k(m) (n . lambda_k), written out per setting pair
@@ -296,8 +295,7 @@ def test_overlap_sign_response_closed_form():
     for _ in range(20):
         block = 0.8 * rng.uniform(-1, 1, size=(3, 3))
         tensor = tensor_from_block(block)
-        lam = sk.random_unit_vector(rng)
-        w = sk.random_unit_vector(rng)
+        lam, w = sk.uniform_sphere(2, rng)
         model = single_component_model(lam, sk.SignResponse(w))
         expected = FOUR_PI_3 * 2.0 * np.pi * float(w @ block @ lam)
         assert sk.model_state_overlap(tensor, model) == pytest.approx(
@@ -310,8 +308,8 @@ def test_overlap_linear_response_closed_form():
     for _ in range(20):
         block = 0.8 * rng.uniform(-1, 1, size=(3, 3))
         tensor = tensor_from_block(block)
-        lam = sk.random_unit_vector(rng)
-        w = rng.uniform(0.1, 1.0) * sk.random_unit_vector(rng)
+        lam = sk.uniform_sphere(1, rng)[0]
+        w = rng.uniform(0.1, 1.0) * sk.uniform_sphere(1, rng)[0]
         model = single_component_model(lam, sk.ClippedLinearResponse(w))
         expected = FOUR_PI_3**2 * float(w @ block @ lam)
         assert sk.model_state_overlap(tensor, model) == pytest.approx(
@@ -324,9 +322,9 @@ def test_overlap_clipped_response_closed_form():
     for _ in range(20):
         block = 0.8 * rng.uniform(-1, 1, size=(3, 3))
         tensor = tensor_from_block(block)
-        lam = sk.random_unit_vector(rng)
+        lam = sk.uniform_sphere(1, rng)[0]
         scale = rng.uniform(1.05, 2.0)
-        w_hat = sk.random_unit_vector(rng)
+        w_hat = sk.uniform_sphere(1, rng)[0]
         model = single_component_model(
             lam, sk.ClippedLinearResponse(scale * w_hat)
         )
@@ -348,7 +346,7 @@ def test_overlap_constant_response_vanishes():
     tensor = tensor_from_block(0.8 * rng.uniform(-1, 1, size=(3, 3)))
     for value in (1.0, 0.0):
         model = single_component_model(
-            sk.random_unit_vector(rng), sk.ConstantResponse(value)
+            sk.uniform_sphere(1, rng)[0], sk.ConstantResponse(value)
         )
         assert sk.model_state_overlap(tensor, model) == 0.0
 
@@ -415,10 +413,8 @@ def test_overlap_axes_near_poles(axis):
 def test_overlap_agrees_with_full_product_quadrature():
     rng = np.random.default_rng(11)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    model = single_component_model(
-        sk.random_unit_vector(rng),
-        sk.ClippedLinearResponse(0.7 * sk.random_unit_vector(rng)),
-    )
+    lam, w = sk.uniform_sphere(2, rng)
+    model = single_component_model(lam, sk.ClippedLinearResponse(0.7 * w))
     reduced = sk.model_state_overlap(tensor, model)
     full = sk.inner_product(
         sk.correlation_fn(tensor),
@@ -497,7 +493,7 @@ def _extra_model(rng):
                  sk.ClippedLinearResponse(np.zeros(3))]
     weights = rng.standard_exponential(2)
     return sk.HiddenStateModel(tuple(
-        sk.ModelComponent(w, sk.random_unit_vector(rng), r)
+        sk.ModelComponent(w, sk.uniform_sphere(1, rng)[0], r)
         for w, r in zip((weights / weights.sum()).tolist(), responses)))
 
 

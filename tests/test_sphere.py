@@ -77,8 +77,7 @@ def test_vector_integral_identity():
     grid = sk.sphere_grid(4)
     for _ in range(50):
         t = rng.uniform(-1.0, 1.0, size=(3, 3))
-        m = sk.random_unit_vector(rng)
-        lam = sk.random_unit_vector(rng)
+        m, lam = sk.uniform_sphere(2, rng)
         quad = sk.integrate(grid, lambda p: (p @ (t.T @ m)) * (p @ lam))
         exact = (4.0 * np.pi / 3.0) * float(m @ t @ lam)
         assert quad == pytest.approx(exact, abs=1e-12)

@@ -242,8 +242,7 @@ def test_correlation_maximally_mixed_vanishes():
     tensor = sk.pauli_expansion(sk.validate_state(np.eye(4) / 4.0))
     rng = np.random.default_rng(3)
     for _ in range(5):
-        m = sk.random_unit_vector(rng)
-        n = sk.random_unit_vector(rng)
+        m, n = sk.uniform_sphere(2, rng)
         assert sk.correlation_fn(tensor)(m, n) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -252,8 +251,7 @@ def test_correlation_maximally_mixed_vanishes():
 def test_correlation_bounded_for_valid_states(seed):
     rng = np.random.default_rng(seed)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    m = sk.random_unit_vector(rng)
-    n = sk.random_unit_vector(rng)
+    m, n = sk.uniform_sphere(2, rng)
     assert abs(sk.correlation_fn(tensor)(m, n)) <= 1.0 + 1e-10
 
 
@@ -289,8 +287,7 @@ def test_probability_completeness_and_correlation():
     rng = np.random.default_rng(21)
     for _ in range(50):
         state = sk.random_density_matrix(rng)
-        a = sk.random_unit_vector(rng)
-        b = sk.random_unit_vector(rng)
+        a, b = sk.uniform_sphere(2, rng)
         probs = {
             (r1, r2): sk.joint_probability(state, a, b, r1, r2)
             for r1 in (1, -1)
@@ -335,13 +332,34 @@ def test_non_signaling():
     rng = np.random.default_rng(31)
     for _ in range(50):
         state = sk.random_density_matrix(rng)
-        x = sk.random_unit_vector(rng)
+        x = sk.uniform_sphere(1, rng)[0]
         plus = sk.conditional_state(state, x, 1)
         minus = sk.conditional_state(state, x, -1)
         assert plus.probability + minus.probability == pytest.approx(1.0, abs=1e-12)
         mixture = plus.weighted_bloch + minus.weighted_bloch
         marginal = sk.pauli_expansion(state).full[0, 1:]
         assert np.max(np.abs(mixture - marginal)) <= 1e-12
+
+
+def test_conditional_state_reads_rho_only_through_joint_probability(monkeypatch):
+    # A stand-in without a matrix: only the patched Born rule can reach the state.
+    state, stand_in = sk.random_density_matrix(np.random.default_rng(5)), object()
+    calls = []
+    born = sk.states.joint_probability
+
+    def counting(arg, a, b, r1, r2):
+        assert arg is stand_in
+        calls.append((r1, r2))
+        return born(state, a, b, r1, r2)
+
+    x = sk.uniform_sphere(1, np.random.default_rng(6))[0]
+    expected = [sk.conditional_state(state, x, a) for a in (1, -1)]
+    monkeypatch.setattr(sk.states, "joint_probability", counting)
+    for a, want in zip((1, -1), expected):
+        got = sk.conditional_state(stand_in, x, a)
+        assert got.probability == want.probability
+        np.testing.assert_array_equal(got.weighted_bloch, want.weighted_bloch)
+    assert len(calls) == 12
 
 
 # --- vector checks -----------------------------------------------------------

@@ -142,8 +142,7 @@ def test_top_singular_value_is_max_correlation():
         tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
         form = sk.svd3(tensor.block)
         for _ in range(50):
-            m = sk.random_unit_vector(rng)
-            n = sk.random_unit_vector(rng)
+            m, n = sk.uniform_sphere(2, rng)
             assert float(m @ tensor.block @ n) <= form.t1 + 1e-12
         attained = float(form.u[0] @ tensor.block @ form.v[0])
         assert attained == pytest.approx(form.t1, abs=1e-12)
