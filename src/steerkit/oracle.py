@@ -228,20 +228,26 @@ def saturating_model(schmidt: SchmidtForm) -> HiddenStateModel:
     )
 
 
+def _terms(block, axes, hidden, coeffs) -> list[float]:
+    """The terms p_k M_k (a_k . T lambda_k); no row reads another."""
+    return (coeffs * ((axes @ block) * hidden).sum(axis=1)).tolist()
+
+
 def model_state_overlap(tensor, model: HiddenStateModel) -> float:
-    """(E_Q, E_NS) of one model: the one-model case of model_state_overlaps."""
-    return model_state_overlaps(tensor, (model,))[0]
+    """(E_Q, E_NS) of one model from its own columns: bit for bit its entry
+    in model_state_overlaps, which takes the same product over a stack."""
+    terms = _terms(tensor.block, model.axes, model.hidden, model.coeffs)
+    return (4.0 * math.pi / 3.0) * math.fsum(terms)
 
 
 def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[float]:
-    """(E_Q, E_NS) of each model: the terms p_k M_k (a_k . T lambda_k) of all
-    models in one product over their stacked columns, summed per model by
-    math.fsum. Each M_k was taken when its model was built."""
+    """(E_Q, E_NS) of each model: the terms of all models in one product over
+    their stacked columns, summed per model by math.fsum. Each M_k was taken
+    when its model was built."""
     if not models:
         return []
-    axes, hidden, coeffs = (np.concatenate([getattr(model, name) for model in models])
-                            for name in ("axes", "hidden", "coeffs"))
-    terms = (coeffs * ((axes @ tensor.block) * hidden).sum(axis=1)).tolist()
+    terms = _terms(tensor.block, *(np.concatenate([getattr(model, name) for model in models])
+                                   for name in ("axes", "hidden", "coeffs")))
     stops = list(accumulate(len(model.coeffs) for model in models))
     return [(4.0 * math.pi / 3.0) * math.fsum(terms[start:stop])
             for start, stop in zip([0, *stops], stops)]

@@ -203,9 +203,9 @@ def joint_probability(state: DensityMatrix4, a, b, r1: int, r2: int) -> float:
     """P(r1, r2 | a, b) for projective measurements along unit vectors a, b."""
     a = unit_vector(a)
     b = unit_vector(b)
-    pa = _projector(a, _check_outcome(r1))
-    pb = _projector(b, _check_outcome(r2))
-    return float(np.trace(state.matrix @ np.kron(pa, pb)).real)
+    pa = _projector(a, _check_outcome(r1))[:, None, :, None]
+    pb = _projector(b, _check_outcome(r2))[None, :, None, :]
+    return float(np.trace(state.matrix @ (pa * pb).reshape(4, 4)).real)  # kron(pa, pb)
 
 
 class ConditionalState(NamedTuple):

@@ -500,15 +500,27 @@ def _extra_model(rng):
 def test_model_state_overlaps_match_single_calls():
     rng = np.random.default_rng(21)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    bound = sk.ns_bound(sk.svd3(tensor.block))
     for k in range(500):
         models = sk.random_models(rng, k % 7)
         models.insert(int(rng.integers(len(models) + 1)), _extra_model(rng))
         stacked = sk.model_state_overlaps(tensor, models)
         assert len(stacked) == len(models)
         for model, value in zip(models, stacked):
-            assert abs(value - sk.model_state_overlap(tensor, model)) <= 1e-15 * bound
+            assert value == sk.model_state_overlap(tensor, model)
     assert sk.model_state_overlaps(tensor, []) == []
+
+
+@pytest.mark.parametrize("count", [1, 30, 500, 2000])
+def test_single_overlap_is_bitwise_its_row_of_the_stack(count):
+    # Each row's product and sum ignore the other rows, so a model's overlap
+    # on its own columns is its entry in any stack, bit for bit.
+    rng = np.random.default_rng(2500 + count)
+    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    models = sk.random_models(rng, count)
+    models += [sk.saturating_model(sk.svd3(tensor.block)),
+               sk.HiddenStateModel(models[0].components)]
+    stacked = sk.model_state_overlaps(tensor, models)
+    assert [sk.model_state_overlap(tensor, model) for model in models] == stacked
 
 
 def _closed_form_overlap(block, model):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import steerkit as sk
-from helpers import SINGLET_PROJECTOR, brute_pauli_table
+from helpers import PAULI, SINGLET_PROJECTOR, brute_pauli_table
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -281,6 +281,19 @@ def test_joint_probability_rejects_bad_outcome():
 def test_joint_probability_rejects_non_unit_setting():
     with pytest.raises(ValueError):
         sk.joint_probability(sk.werner(0.5), [0.0, 0.0, 2.0], Z, 1, 1)
+
+
+def test_joint_probability_matches_kron_reference():
+    # Reference: the Born rule with the projectors' product built by np.kron.
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        state = sk.random_density_matrix(rng)
+        a, b = sk.uniform_sphere(2, rng)
+        for r1, r2 in itertools.product((1, -1), repeat=2):
+            pa = 0.5 * (PAULI[0] + r1 * (a[0] * PAULI[1] + a[1] * PAULI[2] + a[2] * PAULI[3]))
+            pb = 0.5 * (PAULI[0] + r2 * (b[0] * PAULI[1] + b[1] * PAULI[2] + b[2] * PAULI[3]))
+            expected = np.trace(state.matrix @ np.kron(pa, pb)).real
+            assert sk.joint_probability(state, a, b, r1, r2) == expected
 
 
 def test_probability_completeness_and_correlation():
