@@ -57,16 +57,13 @@ _EXPORTS = {
         "uniform_sphere",
     ], "sphere"),
     **dict.fromkeys([
-        "ConditionalState",
         "CorrelationTensor",
         "DensityMatrix4",
         "StateValidationError",
-        "conditional_state",
         "correlation_fn",
         "joint_probability",
         "pauli_expansion",
         "random_density_matrix",
-        "state_from_tensor",
         "validate_state",
     ], "states"),
     "SchmidtForm": "svd3",

@@ -6,9 +6,9 @@ table T[mu, nu] = Tr[rho (sigma_mu x sigma_nu)] with sigma_0 the identity;
 its 3x3 lower-right block is the correlation tensor that drives every
 criterion in this package.
 
-Both directions are one product with the (16, 16) matrix PAULI_PRODUCTS,
+The expansion is one product with the (16, 16) matrix PAULI_PRODUCTS,
 whose row 4·mu + nu is sigma_mu x sigma_nu flattened: the traces are
-PAULI_PRODUCTS @ rho.T.ravel(), the state T.ravel() @ PAULI_PRODUCTS / 4.
+PAULI_PRODUCTS @ rho.T.ravel().
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
-ZERO_BRANCH_TOL = 1e-14
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -172,12 +171,6 @@ def pauli_expansion(state: DensityMatrix4) -> CorrelationTensor:
     return CorrelationTensor(full)
 
 
-def state_from_tensor(tensor: CorrelationTensor) -> DensityMatrix4:
-    """Rebuild the density matrix (1/4) sum T[mu,nu] sigma_mu x sigma_nu."""
-    rho = (tensor.full.ravel() @ PAULI_PRODUCTS).reshape(4, 4) / 4.0
-    return validate_state(rho)
-
-
 def correlation_fn(tensor: CorrelationTensor):
     """Vectorized E(m, n) over arrays of paired settings, for quadrature."""
     block = tensor.block
@@ -206,38 +199,6 @@ def joint_probability(state: DensityMatrix4, a, b, r1: int, r2: int) -> float:
     pa = _projector(a, _check_outcome(r1))[:, None, :, None]
     pb = _projector(b, _check_outcome(r2))[None, :, None, :]
     return float(np.trace(state.matrix @ (pa * pb).reshape(4, 4)).real)  # kron(pa, pb)
-
-
-class ConditionalState(NamedTuple):
-    """Bob's state after Alice measures and announces an outcome.
-
-    ``bloch`` is None on a zero-probability branch (probability below
-    1e-14), where the conditional state is undefined. ``weighted_bloch``
-    is probability * bloch taken directly from the joint probabilities
-    and is well defined even then.
-    """
-
-    probability: float
-    bloch: np.ndarray | None
-    weighted_bloch: np.ndarray
-
-
-def conditional_state(state: DensityMatrix4, x, a: int) -> ConditionalState:
-    """Collapse Bob's qubit on Alice's outcome a along direction x.
-
-    Returns the outcome probability and the Bloch vector of Bob's
-    normalized conditional state, both from joint_probability: the
-    probability is sum_r P(a, r | x, e_3) and the weighted vector's
-    component j is sum_r r P(a, r | x, e_j). The weighted vectors of the
-    two branches sum to Bob's unconditional marginal (non-signaling).
-    """
-    p = np.array([[joint_probability(state, x, e, a, r) for r in (1, -1)]
-                  for e in np.eye(3)])
-    prob = float(p[2].sum())
-    weighted = p[:, 0] - p[:, 1]
-    if prob < ZERO_BRANCH_TOL:
-        return ConditionalState(prob, None, _readonly(weighted))
-    return ConditionalState(prob, _readonly(weighted / prob), _readonly(weighted))
 
 
 def random_density_matrix(rng: np.random.Generator) -> DensityMatrix4:

@@ -40,9 +40,6 @@ class SchmidtForm:
     def t2(self) -> float:
         return float(self.sigma[1])
 
-    def reconstruct(self) -> np.ndarray:
-        return self.u.T @ np.diag(self.sigma) @ self.v
-
 
 def svd3(block) -> SchmidtForm:
     """Decompose a real 3x3 matrix as u.T @ diag(sigma) @ v."""

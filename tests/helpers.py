@@ -27,6 +27,25 @@ def brute_pauli_table(rho: np.ndarray) -> np.ndarray:
     return table
 
 
+def pauli_sum(table: np.ndarray) -> np.ndarray:
+    """Reference inverse expansion: (1/4) sum T[mu, nu] sigma_mu x sigma_nu."""
+    return sum(table[mu, nu] * np.kron(PAULI[mu], PAULI[nu])
+               for mu in range(4) for nu in range(4)) / 4.0
+
+
+def schmidt_product(form) -> np.ndarray:
+    """The matrix an svd3 result stands for: u.T @ diag(sigma) @ v."""
+    return form.u.T @ np.diag(form.sigma) @ form.v
+
+
+def bob_branch(state, x, a: int):
+    """Alice's outcome probability P(a | x) and Bob's weighted Bloch vector,
+    whose component j is sum_r r P(a, r | x, e_j), by the Born rule alone."""
+    p = np.array([[sk.joint_probability(state, x, e, a, r) for r in (1, -1)]
+                  for e in np.eye(3)])
+    return float(p[2].sum()), p[:, 0] - p[:, 1]
+
+
 def haar_unitary2(rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(g)

@@ -9,7 +9,8 @@ import pytest
 
 import steerkit as sk
 from steerkit import cli
-from helpers import criteria_for_state, haar_unitary2, locally_rotated, perturb_low_grid
+from helpers import (bob_branch, criteria_for_state, haar_unitary2, locally_rotated,
+                     perturb_low_grid, schmidt_product)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -203,7 +204,7 @@ def test_criterion_9_property_suites():
         form = sk.svd3(m)
         worst_svd = max(
             worst_svd,
-            float(np.max(np.abs(form.reconstruct() - m))),
+            float(np.max(np.abs(schmidt_product(form) - m))),
             float(np.max(np.abs(form.u @ form.u.T - np.eye(3)))),
             float(np.max(np.abs(form.v @ form.v.T - np.eye(3)))),
         )
@@ -213,9 +214,7 @@ def test_criterion_9_property_suites():
     for _ in range(200):
         state = sk.random_density_matrix(rng)
         x = sk.uniform_sphere(1, rng)[0]
-        plus = sk.conditional_state(state, x, 1)
-        minus = sk.conditional_state(state, x, -1)
-        mixture = plus.weighted_bloch + minus.weighted_bloch
+        mixture = bob_branch(state, x, 1)[1] + bob_branch(state, x, -1)[1]
         marginal = sk.pauli_expansion(state).full[0, 1:]
         worst_ns = max(worst_ns, float(np.max(np.abs(mixture - marginal))))
     assert worst_ns <= 1e-12

@@ -1,7 +1,10 @@
 """The package's export list matches what the package defines."""
 
+import ast
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,26 @@ def test_star_import_binds_every_listed_name():
     namespace = {}
     exec("from steerkit import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(sk.__all__)
-    assert len(sk.__all__) == 47
+    assert len(sk.__all__) == 44
+
+
+def test_every_export_has_a_caller_outside_tests():
+    # An export that only the tests reach is a route the package need not ship.
+    root = Path(__file__).resolve().parents[1]
+    loaded = set()
+    for path in (root / "src" / "steerkit").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    outside = "\n".join(path.read_text() for folder in ("scripts", "perfbench")
+                        for path in (root / folder).rglob("*.py"))
+    uncalled = [name for name in sk.__all__
+                if name not in loaded and not re.search(rf"\b{name}\b", outside)]
+    assert uncalled == []
 
 
 def test_each_export_is_its_module_binding():

