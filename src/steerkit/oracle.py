@@ -16,13 +16,15 @@ with T1 the top singular value of T, while (E_Q, E_Q) equals
 the bound. ``model_state_overlaps`` and ``ns_bound`` compute the two sides;
 the verify bench compares them. A response is a SignResponse,
 ClippedLinearResponse or ConstantResponse, matched on the exact type. Models
-are held as columns, drawn a stack at a time and integrated a stack at a time.
+are held as columns and drawn a stack at a time.
 
-The n-integral reduces exactly to (4 pi / 3) I(m) (m . T lambda). Sign and
-clipped responses share I(m) = clip(norm z, -1, 1), z = m . axis (a sign
-is norm = inf), so the m-integral is (axis . T lambda) M with the moment
-M = 2 pi int clip(norm z, -1, 1) z dz, taken in closed form when a model
-or stack is built (0 for a constant).
+E_Q lies in the span of the nine functions m_i n_j, so only a model's
+moment matrix C = int int m n^T E_NS dm dn enters the overlap, which is
+<T, C>. The n-integral is (4 pi / 3) lambda; sign and clipped responses
+share I(m) = clip(norm z, -1, 1), z = m . axis (a sign is norm = inf), so
+the m-integral is M axis with M = 2 pi int clip(norm z, -1, 1) z dz, and
+C = (4 pi / 3) sum_k p_k M_k axis_k lambda_k^T (M = 0 for a constant). C is
+taken in closed form when a model or stack is built.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -103,7 +104,7 @@ class ConstantResponse:
 # A response's kind is its index here, matched on the exact type.
 _KINDS = (SignResponse, ClippedLinearResponse, ConstantResponse)
 _SIGN, _CLIPPED, _CONSTANT = range(3)
-_COLUMNS = ("weights", "hidden", "kinds", "vectors", "values", "axes", "coeffs")
+_COLUMNS = ("weights", "hidden", "kinds", "vectors", "values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +125,9 @@ class ModelComponent:
 class HiddenStateModel:
     """Finite non-steering model as read-only columns, a row per component:
     ``weights``, ``hidden``, ``kinds`` (0 sign, 1 clipped, 2 constant),
-    ``vectors`` (sign axis, clipped vector, else 0), constant ``values`` (else
-    0), unit ``axes`` (0 for a constant or zero vector) and ``coeffs`` p_k M_k;
-    ``components`` builds the same model as objects."""
+    ``vectors`` (sign axis, clipped vector, else 0) and constant ``values``
+    (else 0); ``moment`` is C in the lower-right block of a 4x4 table, raveled
+    to 16 read-only entries. ``components`` builds the same model as objects."""
 
     def __init__(self, components):
         comps = tuple(components)
@@ -138,7 +139,8 @@ class HiddenStateModel:
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
         rows = [(c.weight, c.hidden_state, *_parameters(c.response)) for c in comps]
-        _set_columns(self, _columns(*map(np.array, zip(*rows))))
+        *columns, (moment,) = _columns(*map(np.array, zip(*rows)), starts=[0])
+        _set_columns(self, columns, moment)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: HiddenStateModel is immutable")
@@ -158,28 +160,31 @@ def _parameters(r) -> tuple:
     return kind, vector, getattr(r, "value", 0.0)
 
 
-def _columns(weights, hidden, kinds, vectors, values) -> tuple:
-    """All columns, read-only, with the axes and p_k M_k derived. The moment
+def _columns(weights, hidden, kinds, vectors, values, starts) -> tuple:
+    """The columns, read-only, and last the moment table of each model whose
+    rows start at ``starts``: C = (4 pi / 3) sum_k p_k M_k axis_k lambda_k^T in
+    the lower-right block of a 4x4 table, raveled to a row of 16. The moment
     M = 2 pi int clip(norm z, -1, 1) z dz is 4 pi norm / 3 up to norm 1, then
     2 pi (1 - 1/(3 norm^2)), and 2 pi for a sign (norm = inf); the tests check
-    it against Gauss-Legendre on panels split at +-1/norm."""
-    sign = kinds == _SIGN
-    norms = np.sqrt(np.add.reduce(vectors * vectors, 1))
-    u = np.maximum(norms, 1.0)
-    moments = ((4.0 * math.pi / 3.0) * np.minimum(norms, 1.0)
-               + (2.0 * math.pi / 3.0 - (2.0 * math.pi / 3.0) / (u * u)))
-    moments[sign] = 2.0 * math.pi
-    norms[sign | (norms == 0.0)] = 1.0  # a sign's axis and a zero vector stay as they are
-    columns = (weights, hidden, kinds, vectors, values, vectors / norms[:, None],
-               weights * moments)
+    it against Gauss-Legendre on panels split at +-1/norm. So M axis is
+    (2 pi - 2 pi / (3 u^2)) vector / u with u = max(norm, 1), 0 for a constant's
+    zero vector, and 2 pi axis for a sign."""
+    sign_gain = (4.0 * math.pi / 3.0) * (2.0 * math.pi)  # (4 pi / 3) M of a sign
+    u = np.sqrt(np.maximum(np.add.reduce(vectors * vectors, 1), 1.0))
+    gains = np.where(kinds == _SIGN, sign_gain, (sign_gain - (sign_gain / 3.0) / (u * u)) / u)
+    terms = ((weights * gains)[:, None] * vectors)[:, :, None] * hidden[:, None, :]
+    tables = np.zeros((len(starts), 16))
+    tables.reshape(-1, 4, 4)[:, 1:, 1:] = np.add.reduceat(terms, starts)
+    columns = (weights, hidden, kinds, vectors, values, tables)
     for column in columns:
         column.setflags(write=False)
     return columns
 
 
-def _set_columns(model: HiddenStateModel, columns) -> HiddenStateModel:
-    """Give a model its columns: the one way both constructors fill one."""
-    vars(model).update(zip(_COLUMNS, columns))
+def _set_columns(model: HiddenStateModel, columns, moment) -> HiddenStateModel:
+    """Give a model its columns and moment table: the one way both constructors
+    fill one."""
+    vars(model).update(zip(_COLUMNS, columns), moment=moment)
     return model
 
 
@@ -228,29 +233,14 @@ def saturating_model(schmidt: SchmidtForm) -> HiddenStateModel:
     )
 
 
-def _terms(block, axes, hidden, coeffs) -> list[float]:
-    """The terms p_k M_k (a_k . T lambda_k); no row reads another."""
-    return (coeffs * ((axes @ block) * hidden).sum(axis=1)).tolist()
-
-
 def model_state_overlap(tensor, model: HiddenStateModel) -> float:
-    """(E_Q, E_NS) of one model from its own columns: bit for bit its entry
-    in model_state_overlaps, which takes the same product over a stack."""
-    terms = _terms(tensor.block, model.axes, model.hidden, model.coeffs)
-    return (4.0 * math.pi / 3.0) * math.fsum(terms)
+    """(E_Q, E_NS) = <T, C>: the model's moment table against the tensor's."""
+    return float(np.add.reduce(model.moment * tensor.full.ravel()))
 
 
 def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[float]:
-    """(E_Q, E_NS) of each model: the terms of all models in one product over
-    their stacked columns, summed per model by math.fsum. Each M_k was taken
-    when its model was built."""
-    if not models:
-        return []
-    terms = _terms(tensor.block, *(np.concatenate([getattr(model, name) for model in models])
-                                   for name in ("axes", "hidden", "coeffs")))
-    stops = list(accumulate(len(model.coeffs) for model in models))
-    return [(4.0 * math.pi / 3.0) * math.fsum(terms[start:stop])
-            for start, stop in zip([0, *stops], stops)]
+    """(E_Q, E_NS) of each model, each by ``model_state_overlap``."""
+    return [model_state_overlap(tensor, model) for model in models]
 
 
 def model_state_overlap_mc(tensor, model: HiddenStateModel, samples: int,
@@ -292,8 +282,8 @@ def random_models(rng: np.random.Generator, count: int) -> list[HiddenStateModel
     uniform hidden states and responses drawn uniformly from the sign,
     clipped-linear (radius U(0.05, 2) on a uniform axis) and constant (+-1)
     kinds. The whole stack comes from one set of generator calls, and each
-    model is a slice of one set of columns. Broad enough to probe the bound,
-    not exhaustive.
+    model is a slice of one set of columns and a row of one set of moment
+    tables. Broad enough to probe the bound, not exhaustive.
     """
     if count == 0:
         return []  # an empty draw leaves the generator as it was
@@ -317,6 +307,7 @@ def random_models(rng: np.random.Generator, count: int) -> list[HiddenStateModel
             else (_CONSTANT, 0.0, -1.0 if s < 0.5 else 1.0)
             for k, r, s in zip(kind, radius, sign)]
     kinds, scale, values = map(np.array, zip(*rows))
-    columns = _columns(weights, hidden, kinds, scale[:, None] * axes, values)
-    return [_set_columns(object.__new__(HiddenStateModel), [c[start:stop] for c in columns])
-            for start, stop in zip(starts.tolist(), stops.tolist())]
+    *columns, tables = _columns(weights, hidden, kinds, scale[:, None] * axes, values, starts)
+    return [_set_columns(object.__new__(HiddenStateModel), [c[start:stop] for c in columns],
+                         moment)
+            for start, stop, moment in zip(starts.tolist(), stops.tolist(), tables)]

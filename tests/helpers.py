@@ -1,5 +1,6 @@
 """Shared test utilities and independent oracles."""
 
+import math
 import os
 from pathlib import Path
 
@@ -44,6 +45,35 @@ def bob_branch(state, x, a: int):
     p = np.array([[sk.joint_probability(state, x, e, a, r) for r in (1, -1)]
                   for e in np.eye(3)])
     return float(p[2].sum()), p[:, 0] - p[:, 1]
+
+
+def moment_block(model) -> np.ndarray:
+    """C, the lower-right 3x3 block of a model's raveled 4x4 moment table."""
+    return model.moment.reshape(4, 4)[1:, 1:]
+
+
+def unit_axes(model) -> np.ndarray:
+    """Each row's axis: a clipped vector over its norm; a sign axis, a
+    constant's zero and a zero vector as they are."""
+    norms = np.linalg.norm(model.vectors, axis=1)
+    norms[(model.kinds == 0) | (norms == 0.0)] = 1.0
+    return model.vectors / norms[:, None]
+
+
+def reference_overlap(block: np.ndarray, model) -> float:
+    """(E_Q, E_NS) term by term: (4 pi / 3) fsum_k p_k M_k (a_k . T lambda_k),
+    with M = 2 pi for a sign, 4 pi r / 3 for a clipped vector of norm r <= 1,
+    2 pi (1 - 1/(3 r^2)) above, and 0 for a constant."""
+    terms = []
+    for kind, weight, lam, axis, r in zip(model.kinds.tolist(), model.weights.tolist(),
+                                          model.hidden, unit_axes(model),
+                                          np.linalg.norm(model.vectors, axis=1).tolist()):
+        moment = (2.0 * math.pi if kind == 0
+                  else 4.0 * math.pi * r / 3.0 if kind == 1 and r <= 1.0
+                  else 2.0 * math.pi * (1.0 - 1.0 / (3.0 * r * r)) if kind == 1
+                  else 0.0)
+        terms.append(weight * moment * float(axis @ block @ lam))
+    return (4.0 * math.pi / 3.0) * math.fsum(terms)
 
 
 def haar_unitary2(rng: np.random.Generator) -> np.ndarray:

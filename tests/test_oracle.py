@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steerkit as sk
-from helpers import tensor_from_block
+from helpers import moment_block, reference_overlap, tensor_from_block, unit_axes
 
 Z = np.array([0.0, 0.0, 1.0])
 FOUR_PI_3 = 4.0 * np.pi / 3.0
@@ -158,22 +158,23 @@ def test_clipped_response_geometry_down_to_zero():
     tiny = sk.ClippedLinearResponse(np.array([1e-13, 0.0, 0.0]))
     block = np.diag([0.5, -0.2, 0.1])
     model = single_component_model(np.array([0.6, 0.0, 0.8]), tiny)
-    np.testing.assert_array_equal(model.axes, [[1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(moment_block(model)[1:], 0.0)  # C = x lambda^T
     expected = FOUR_PI_3 * FOUR_PI_3 * 1e-13 * 0.5 * 0.6
     assert sk.model_state_overlap(tensor_from_block(block), model) == pytest.approx(
         expected, rel=1e-14
     )
     zero = sk.ClippedLinearResponse(np.zeros(3))
     model = single_component_model(Z, zero)
-    np.testing.assert_array_equal(model.axes, [[0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(model.moment, 0.0)
     assert sk.model_state_overlap(tensor_from_block(block), model) == 0.0
 
 
 @pytest.mark.parametrize("norm", [None, 0.05, 1.0, 1.0 + 1e-9, 2.0])
 def test_axial_response_is_the_clip_formula(norm):
     # The overlap integrates clip(norm z, -1, 1), z = m . axis, on the axis
-    # and vector norm a model's columns hold, so that must be the response
-    # itself on every setting. None is the sign, whose norm is inf.
+    # a model's moment holds (C = c axis Z^T for hidden state Z) and the
+    # vector norm its columns hold, so that must be the response itself on
+    # every setting. None is the sign, whose norm is inf.
     rng = np.random.default_rng(18)
     for _ in range(20):
         axis = sk.uniform_sphere(1, rng)[0]
@@ -182,7 +183,8 @@ def test_axial_response_is_the_clip_formula(norm):
         model = single_component_model(Z, response)
         slope = np.inf if norm is None else np.linalg.norm(model.vectors[0])
         m = sk.uniform_sphere(500, rng)
-        formula = np.clip(slope * (m @ model.axes[0]), -1.0, 1.0)
+        held = moment_block(model)[:, 2]
+        formula = np.clip(slope * (m @ (held / np.linalg.norm(held))), -1.0, 1.0)
         defect = np.abs(response(m) - formula)
         assert defect.max() <= 1e-15
 
@@ -385,7 +387,7 @@ def test_moments_match_panel_quadrature():
             sk.sphere_grid(6, breakpoints),
             lambda m: np.clip(norm * m[:, 2], -1.0, 1.0) * m[:, 2],
         )
-        (moment,) = single_component_model(Z, response).coeffs
+        moment = moment_block(single_component_model(Z, response))[2, 2] / FOUR_PI_3
         assert abs(moment - quadrature) <= 1e-15 * max(quadrature, 1.0), norm
 
 
@@ -460,7 +462,7 @@ def test_random_models_contract():
                 assert 0.05 <= np.linalg.norm(c.response.vector) <= 2.0
             else:
                 assert c.response.value in (-1.0, 1.0)
-        axes = model.axes[model.kinds != 2]  # a constant has no axis
+        axes = unit_axes(model)[model.kinds != 2]  # a constant has no axis
         assert np.all(np.abs(np.linalg.norm(axes, axis=1) - 1.0) <= 1e-12)
     assert kinds == {sk.SignResponse, sk.ClippedLinearResponse, sk.ConstantResponse}
     assert {len(m.components) for m in models} == set(
@@ -523,25 +525,6 @@ def test_single_overlap_is_bitwise_its_row_of_the_stack(count):
     assert [sk.model_state_overlap(tensor, model) for model in models] == stacked
 
 
-def _closed_form_overlap(block, model):
-    # Per component, the moments of test_overlap_*_closed_form: sign 2 pi,
-    # clip(r z) 4 pi r / 3 up to r = 1 and 4 pi (1/2 - 1/(6 r^2)) above,
-    # constant 0; each times p (axis . T lambda), all times 4 pi / 3.
-    total = 0.0
-    for kind, weight, lam, vector in zip(model.kinds, model.weights, model.hidden,
-                                         model.vectors):
-        r = float(np.linalg.norm(vector))
-        if kind == 0:
-            moment = 2.0 * np.pi
-        elif kind == 1:
-            moment = (4.0 * np.pi * r / 3.0 if r <= 1.0
-                      else 4.0 * np.pi * (0.5 - 1.0 / (6.0 * r * r)))
-        else:
-            continue
-        total += weight * moment * float(vector @ block @ lam) / (r if kind == 1 else 1.0)
-    return FOUR_PI_3 * total
-
-
 def test_random_models_build_no_objects(monkeypatch):
     # The draw goes from arrays to columns; no component or response object
     # is built on the way, and the overlaps still meet the closed forms.
@@ -558,7 +541,7 @@ def test_random_models_build_no_objects(monkeypatch):
         tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
         bound = sk.ns_bound(sk.svd3(tensor.block))
         for model, value in zip(models, sk.model_state_overlaps(tensor, models)):
-            assert abs(value - _closed_form_overlap(tensor.block, model)) <= 1e-12 * bound
+            assert abs(value - reference_overlap(tensor.block, model)) <= 1e-12 * bound
 
 
 def test_model_from_its_components_has_the_same_overlaps():
@@ -571,11 +554,61 @@ def test_model_from_its_components_has_the_same_overlaps():
         assert sk.model_state_overlap(tensor, copy) == sk.model_state_overlap(tensor, model)
 
 
+# One of each kind a hand-built component can have: a sign, a clipped vector
+# of norm up to 1 and above 1, a constant in [-1, 1] and the zero vector.
+def _response(kind, axis, r, value):
+    return {"sign": lambda: sk.SignResponse(axis),
+            "mild": lambda: sk.ClippedLinearResponse(r * axis),
+            "steep": lambda: sk.ClippedLinearResponse((1.0 + r) * axis),
+            "constant": lambda: sk.ConstantResponse(value),
+            "zero": lambda: sk.ClippedLinearResponse(np.zeros(3))}[kind]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["sign", "mild", "steep", "constant", "zero"]),
+                min_size=1, max_size=sk.oracle.MAX_COMPONENTS))
+def test_overlap_is_the_term_by_term_sum(seed, kinds):
+    # <T, C> against (4 pi / 3) fsum_k p_k M_k (a_k . T lambda_k), on a drawn
+    # stack and on a hand-built model that mixes the kinds.
+    rng = np.random.default_rng(seed)
+    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
+    bound = sk.ns_bound(sk.svd3(tensor.block))
+    weights = rng.standard_exponential(len(kinds))
+    points = sk.uniform_sphere(2 * len(kinds), rng)
+    hand = sk.HiddenStateModel(tuple(
+        sk.ModelComponent(w, lam, _response(kind, axis, r, value))
+        for w, kind, lam, axis, r, value in zip(
+            (weights / weights.sum()).tolist(), kinds, points[::2], points[1::2],
+            rng.uniform(0.0, 1.0, len(kinds)).tolist(),
+            rng.uniform(-1.0, 1.0, len(kinds)).tolist())))
+    models = [*sk.random_models(rng, 20), hand]
+    for model, value in zip(models, sk.model_state_overlaps(tensor, models)):
+        assert abs(value - reference_overlap(tensor.block, model)) <= 1e-15 * bound
+
+
+def test_moment_is_the_integral_of_m_n_ens():
+    # C = int int m n^T E_NS dm dn, estimated entry by entry from uniform
+    # settings: each entry within 4 standard errors of its Monte Carlo mean.
+    rng = np.random.default_rng(28)
+    samples = 100_000
+    models = [*sk.random_models(rng, 3), _extra_model(rng),
+              sk.saturating_model(sk.svd3(rng.uniform(-1.0, 1.0, (3, 3))))]
+    for model in models:
+        m = sk.uniform_sphere(samples, rng)
+        n = sk.uniform_sphere(samples, rng)
+        values = (m * sk.ns_correlation_fn(model)(m, n)[:, None])[:, :, None] * n[:, None, :]
+        values = (4.0 * np.pi) ** 2 * values.reshape(samples, 9)
+        stderr = values.std(axis=0, ddof=1) / np.sqrt(samples)
+        defect = np.abs(values.mean(axis=0) - moment_block(model).ravel())
+        assert np.all(defect <= 4.0 * stderr), defect / stderr
+
+
 def test_model_columns_are_read_only():
     model = sk.random_model(np.random.default_rng(25))
     with pytest.raises(AttributeError):
-        model.coeffs = np.zeros(len(model.coeffs))
-    for name in ("weights", "hidden", "kinds", "vectors", "values", "axes", "coeffs"):
+        model.moment = np.zeros(16)
+    for name in ("weights", "hidden", "kinds", "vectors", "values", "moment"):
         with pytest.raises(ValueError):
             getattr(model, name)[0] = 0.0
 

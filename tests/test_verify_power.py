@@ -27,6 +27,27 @@ def transposed_overlap_block(monkeypatch):
         states.CorrelationTensor(tensor.full.T), models))
 
 
+def _patch_moments(monkeypatch, change):
+    # Every moment table the builder returns passes through ``change``.
+    build = oracle._columns
+
+    def patched(*args, **kwargs):
+        *columns, tables = build(*args, **kwargs)
+        return (*columns, change(tables))
+
+    monkeypatch.setattr(oracle, "_columns", patched)
+
+
+def transposed_moment(monkeypatch):
+    # Each model's C built as lambda a^T in place of a lambda^T.
+    _patch_moments(monkeypatch, lambda t: t.reshape(-1, 4, 4).transpose(0, 2, 1).reshape(-1, 16))
+
+
+def moment_factor(monkeypatch):
+    # The 4 pi / 3 of the moment builder off by 1%.
+    _patch_moments(monkeypatch, lambda t: 1.01 * t)
+
+
 def ns_coefficient(monkeypatch):
     monkeypatch.setattr(oracle, "_NS_COEFF", oracle._NS_COEFF * 1.01)
 
@@ -41,6 +62,8 @@ FAULTS = [
     (transposed_expansion, "chsh maximum, Born rule (5 states)"),
     (conjugated_expansion, "chsh maximum, Born rule (5 states)"),
     (transposed_overlap_block, "ns bound saturation (5 states)"),
+    (transposed_moment, "ns bound saturation (5 states)"),
+    (moment_factor, "ns bound saturation (5 states)"),
     (ns_coefficient, "ns bound saturation (5 states)"),
     (lhv_coefficient, "lhv bound saturation (5 states)"),
 ]
