@@ -61,7 +61,6 @@ _EXPORTS = {
         "DensityMatrix4",
         "StateValidationError",
         "correlation_fn",
-        "joint_probability",
         "pauli_expansion",
         "random_density_matrix",
         "validate_state",

@@ -24,7 +24,9 @@ moment matrix C = int int m n^T E_NS dm dn enters the overlap, which is
 share I(m) = clip(norm z, -1, 1), z = m . axis (a sign is norm = inf), so
 the m-integral is M axis with M = 2 pi int clip(norm z, -1, 1) z dz, and
 C = (4 pi / 3) sum_k p_k M_k axis_k lambda_k^T (M = 0 for a constant). C is
-taken in closed form when a model or stack is built.
+taken in closed form when a model or stack is built, and an overlap is one
+BLAS dot of its raveled table with the tensor's, so its last bits are those
+of the numpy/BLAS build, as svd3's are.
 """
 
 from __future__ import annotations
@@ -234,8 +236,10 @@ def saturating_model(schmidt: SchmidtForm) -> HiddenStateModel:
 
 
 def model_state_overlap(tensor, model: HiddenStateModel) -> float:
-    """(E_Q, E_NS) = <T, C>: the model's moment table against the tensor's."""
-    return float(np.add.reduce(model.moment * tensor.full.ravel()))
+    """(E_Q, E_NS) = <T, C>: one dot of the model's moment table with the
+    tensor's. ``model_state_overlaps`` calls it per model, as a stacked
+    product may round differently from the per-row dot."""
+    return float(model.moment.dot(tensor.full.ravel()))
 
 
 def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[float]:

@@ -1,4 +1,4 @@
-"""Two-qubit density matrices, Pauli expansion and projective measurements.
+"""Two-qubit density matrices and their Pauli expansion.
 
 States live in the product basis |00>, |01>, |10>, |11> (first factor is
 Alice's qubit). The Pauli expansion of a state is the real 4x4 coefficient
@@ -179,26 +179,6 @@ def correlation_fn(tensor: CorrelationTensor):
         return np.einsum("...i,ij,...j->...", m, block, n)
 
     return eq
-
-
-def _projector(direction: np.ndarray, outcome: int) -> np.ndarray:
-    s = direction[0] * SIGMA_X + direction[1] * SIGMA_Y + direction[2] * SIGMA_Z
-    return 0.5 * (SIGMA_0 + outcome * s)
-
-
-def _check_outcome(r: int) -> int:
-    if r not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {r!r}")
-    return r
-
-
-def joint_probability(state: DensityMatrix4, a, b, r1: int, r2: int) -> float:
-    """P(r1, r2 | a, b) for projective measurements along unit vectors a, b."""
-    a = unit_vector(a)
-    b = unit_vector(b)
-    pa = _projector(a, _check_outcome(r1))[:, None, :, None]
-    pb = _projector(b, _check_outcome(r2))[None, :, None, :]
-    return float(np.trace(state.matrix @ (pa * pb).reshape(4, 4)).real)  # kron(pa, pb)
 
 
 def random_density_matrix(rng: np.random.Generator) -> DensityMatrix4:

@@ -26,6 +26,9 @@ _svd3 = importlib.import_module(".svd3", __package__)
 # How far (E_Q, E_NS) may pass (8 pi^2 / 3) T1, relative to the bound.
 NS_RELATIVE_TOL = 1e-6
 
+# _SIGMAS[i, k, j] is sigma_k[i, j] (x, y, z), so a setting x gives x . sigma = x @ _SIGMAS.
+_SIGMAS = np.array(states.PAULI[1:]).transpose(1, 0, 2)
+
 
 @dataclass(frozen=True)
 class Check:
@@ -56,21 +59,27 @@ def _signed_first_moment(grid: sphere.SphereGrid, frame: np.ndarray) -> np.ndarr
     return (grid.weights * np.sign(points @ frame[0])) @ points
 
 
+def _born_correlation(state: states.DensityMatrix4, x, y) -> float:
+    """E(x, y) = sum r1 r2 P(r1, r2 | x, y) by the Born rule on rho, not from T.
+    The outcome-weighted projectors sum to x . sigma, so E(x, y) is
+    Tr[rho (x . sigma x y . sigma)]: one product for all four outcomes."""
+    a, b = x @ _SIGMAS, y @ _SIGMAS
+    observable = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)  # kron(a, b)
+    # The observable is Hermitian, so vdot's conjugate of it is its transpose.
+    return float(np.vdot(observable, state.matrix).real)
+
+
 def _chsh_born_defect(state: states.DensityMatrix4) -> float:
     """|S / (2 sqrt(T1^2+T2^2)) - 1| at Horodecki's settings a = u1, a' = u2,
-    b, b' = c v1 +- s v2, (c, s) = (T1, T2) / sqrt(T1^2+T2^2), each
-    E(x, y) = sum r1 r2 P(r1, r2 | x, y) by the Born rule on rho, not from T."""
+    b, b' = c v1 +- s v2, (c, s) = (T1, T2) / sqrt(T1^2+T2^2), each E by
+    ``_born_correlation``."""
     schmidt = _svd3.svd3(states.pauli_expansion(state).block)
     t12 = math.hypot(schmidt.t1, schmidt.t2)
     (u1, u2, _), (v1, v2, _) = schmidt.u, schmidt.v
     c, s = schmidt.t1 / t12, schmidt.t2 / t12
     b, b_prime = c * v1 + s * v2, c * v1 - s * v2
-
-    def e(x, y):
-        return sum(r1 * r2 * states.joint_probability(state, x, y, r1, r2)
-                   for r1 in (1, -1) for r2 in (1, -1))
-
-    chsh = e(u1, b) + e(u1, b_prime) + e(u2, b) - e(u2, b_prime)
+    chsh = (_born_correlation(state, u1, b) + _born_correlation(state, u1, b_prime)
+            + _born_correlation(state, u2, b) - _born_correlation(state, u2, b_prime))
     return abs(chsh / (2.0 * t12) - 1.0)
 
 

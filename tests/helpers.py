@@ -39,10 +39,20 @@ def schmidt_product(form) -> np.ndarray:
     return form.u.T @ np.diag(form.sigma) @ form.v
 
 
+def projector(direction, outcome: int) -> np.ndarray:
+    """(1 + outcome direction . sigma) / 2, the projector onto one outcome."""
+    return 0.5 * (PAULI[0] + outcome * sum(d * s for d, s in zip(direction, PAULI[1:])))
+
+
+def joint_probability(state, a, b, r1: int, r2: int) -> float:
+    """Reference Born rule: P(r1, r2 | a, b) = Tr[rho (P_a^r1 x P_b^r2)]."""
+    return float(np.trace(state.matrix @ np.kron(projector(a, r1), projector(b, r2))).real)
+
+
 def bob_branch(state, x, a: int):
     """Alice's outcome probability P(a | x) and Bob's weighted Bloch vector,
     whose component j is sum_r r P(a, r | x, e_j), by the Born rule alone."""
-    p = np.array([[sk.joint_probability(state, x, e, a, r) for r in (1, -1)]
+    p = np.array([[joint_probability(state, x, e, a, r) for r in (1, -1)]
                   for e in np.eye(3)])
     return float(p[2].sum()), p[:, 0] - p[:, 1]
 

@@ -9,8 +9,8 @@ import pytest
 
 import steerkit as sk
 from steerkit import cli
-from helpers import (bob_branch, criteria_for_state, haar_unitary2, locally_rotated,
-                     perturb_low_grid, schmidt_product)
+from helpers import (bob_branch, criteria_for_state, haar_unitary2, joint_probability,
+                     locally_rotated, perturb_low_grid, schmidt_product)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -149,7 +149,7 @@ def born_rule_chsh(state, schmidt):
     c, s = np.array([schmidt.t1, schmidt.t2]) / math.hypot(schmidt.t1, schmidt.t2)
 
     def e(x, y):
-        return sum(r1 * r2 * sk.joint_probability(state, x, y, r1, r2)
+        return sum(r1 * r2 * joint_probability(state, x, y, r1, r2)
                    for r1 in (1, -1) for r2 in (1, -1))
 
     b, b_prime = c * v1 + s * v2, c * v1 - s * v2

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import steerkit as sk
-from helpers import PAULI, SINGLET_PROJECTOR, bob_branch, brute_pauli_table, pauli_sum
+from steerkit import verify
+from helpers import (SINGLET_PROJECTOR, bob_branch, brute_pauli_table, joint_probability,
+                     pauli_sum)
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -260,40 +262,30 @@ def test_correlation_bounded_for_valid_states(seed):
 
 def test_singlet_perfect_anticorrelation():
     singlet = sk.werner(1.0)
-    assert sk.joint_probability(singlet, Z, Z, 1, 1) == pytest.approx(0.0, abs=1e-14)
-    assert sk.joint_probability(singlet, Z, Z, 1, -1) == pytest.approx(0.5, abs=1e-14)
+    assert joint_probability(singlet, Z, Z, 1, 1) == pytest.approx(0.0, abs=1e-14)
+    assert joint_probability(singlet, Z, Z, 1, -1) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_maximally_mixed_uniform_outcomes():
     mixed = sk.validate_state(np.eye(4) / 4.0)
     for r1 in (1, -1):
         for r2 in (1, -1):
-            assert sk.joint_probability(mixed, Z, X, r1, r2) == pytest.approx(
+            assert joint_probability(mixed, Z, X, r1, r2) == pytest.approx(
                 0.25, abs=1e-14
             )
 
 
-def test_joint_probability_rejects_bad_outcome():
-    with pytest.raises(ValueError):
-        sk.joint_probability(sk.werner(0.5), Z, Z, 0, 1)
-
-
-def test_joint_probability_rejects_non_unit_setting():
-    with pytest.raises(ValueError):
-        sk.joint_probability(sk.werner(0.5), [0.0, 0.0, 2.0], Z, 1, 1)
-
-
-def test_joint_probability_matches_kron_reference():
-    # Reference: the Born rule with the projectors' product built by np.kron.
-    rng = np.random.default_rng(25)
-    for _ in range(200):
-        state = sk.random_density_matrix(rng)
-        a, b = sk.uniform_sphere(2, rng)
-        for r1, r2 in itertools.product((1, -1), repeat=2):
-            pa = 0.5 * (PAULI[0] + r1 * (a[0] * PAULI[1] + a[1] * PAULI[2] + a[2] * PAULI[3]))
-            pb = 0.5 * (PAULI[0] + r2 * (b[0] * PAULI[1] + b[1] * PAULI[2] + b[2] * PAULI[3]))
-            expected = np.trace(state.matrix @ np.kron(pa, pb)).real
-            assert sk.joint_probability(state, a, b, r1, r2) == expected
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_verify_born_correlation_is_the_outcome_sum(seed):
+    # verify's one-product E(x, y) against sum r1 r2 P(r1, r2 | x, y), each
+    # P from the projectors' kron product.
+    rng = np.random.default_rng(seed)
+    state = sk.random_density_matrix(rng)
+    x, y = sk.uniform_sphere(2, rng)
+    expected = sum(r1 * r2 * joint_probability(state, x, y, r1, r2)
+                   for r1, r2 in itertools.product((1, -1), repeat=2))
+    assert abs(verify._born_correlation(state, x, y) - expected) <= 1e-15
 
 
 def test_probability_completeness_and_correlation():
@@ -302,7 +294,7 @@ def test_probability_completeness_and_correlation():
         state = sk.random_density_matrix(rng)
         a, b = sk.uniform_sphere(2, rng)
         probs = {
-            (r1, r2): sk.joint_probability(state, a, b, r1, r2)
+            (r1, r2): joint_probability(state, a, b, r1, r2)
             for r1 in (1, -1)
             for r2 in (1, -1)
         }
