@@ -65,10 +65,12 @@ def sphere_grid(n_theta: int, breakpoints=()) -> SphereGrid:
     return SphereGrid(points, np.repeat(wu * dphi, n_phi))
 
 
-def integrate(grid: SphereGrid, f) -> float:
-    """Integrate f over the sphere; f maps an (n, 3) point array to (n,)."""
+def integrate(grid: SphereGrid, f) -> float | np.ndarray:
+    """Integrate f, mapping (n, 3) points to (n, ...) values, over the sphere: a
+    scalar integrand gives a float, an array-valued one its array of integrals."""
     values = np.asarray(f(grid.points), dtype=float)
-    return float((grid.weights * values).sum())
+    integral = (grid.weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values).sum(axis=0)
+    return float(integral) if values.ndim == 1 else integral
 
 
 def inner_product(f, g, grid: SphereGrid) -> float:

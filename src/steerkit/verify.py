@@ -46,19 +46,6 @@ class Check:
         return self.defect <= self.tol
 
 
-def _orthogonality_defect(grid: sphere.SphereGrid) -> float:
-    """Max defect of integral(n_k n_l) against (4 pi / 3) delta_kl."""
-    moments = (grid.points * grid.weights[:, None]).T @ grid.points
-    return float(np.max(np.abs(moments - (sphere.FOUR_PI / 3.0) * np.eye(3))))
-
-
-def _signed_first_moment(grid: sphere.SphereGrid, frame: np.ndarray) -> np.ndarray:
-    """int sign(n.f0) n dn on ``grid`` turned to put its pole on f0, where a rule
-    split at the equator is exact; ``frame`` holds orthonormal rows f0, f1, f2."""
-    points = grid.points @ frame[[1, 2, 0]]
-    return (grid.weights * np.sign(points @ frame[0])) @ points
-
-
 def _born_correlation(state: states.DensityMatrix4, x, y) -> float:
     """E(x, y) = sum r1 r2 P(r1, r2 | x, y) by the Born rule on rho, not from T.
     The outcome-weighted projectors sum to x . sigma, so E(x, y) is
@@ -94,7 +81,9 @@ def run_checks(level: str, seed: int) -> list[Check]:
     checks: list[Check] = []
 
     for n_theta in (2, 8):
-        defect = _orthogonality_defect(sphere.sphere_grid(n_theta))
+        grid = sphere.sphere_grid(n_theta)
+        moments = sphere.integrate(grid, lambda n: n[:, :, None] * n[:, None, :])
+        defect = float(np.max(np.abs(moments - (sphere.FOUR_PI / 3.0) * np.eye(3))))
         checks.append(Check(f"orthogonality(N={n_theta})", "(4pi/3) delta_kl",
                             defect, defect, 1e-12))
 
@@ -168,17 +157,25 @@ def run_checks(level: str, seed: int) -> list[Check]:
     abs_cos = sphere.integrate(g_split, lambda p: np.abs(p[:, 2]))
     checks.append(Check("abs-cos integral (split grid)", "2pi", abs_cos,
                         abs(abs_cos - 2.0 * math.pi), 1e-12))
-    # The largest projection of a bounded response onto the coordinate functions.
-    value = math.sqrt(3.0 / sphere.FOUR_PI) * abs_cos
-    checks.append(Check("projection constant", "sqrt(3pi)", value,
-                        abs(value - math.sqrt(3.0 * math.pi)), 1e-12))
+    # The builder's M(r) = C_zz/(4pi/3) against 2pi int clip(rz, -1, 1) z dz, split at +-1/r.
+    worst = 0.0
+    for r in (0.5, 1.5):
+        comp = oracle.ModelComponent(1.0, (0, 0, 1), oracle.ClippedLinearResponse((0, 0, r)))
+        moment = oracle.HiddenStateModel((comp,)).moment[15] / (sphere.FOUR_PI / 3.0)
+        grid = sphere.sphere_grid(8, breakpoints=(-1.0 / r, 1.0 / r) if r > 1.0 else ())
+        quad = sphere.integrate(grid, lambda n: np.clip(r * n[:, 2], -1.0, 1.0) * n[:, 2])
+        worst = max(worst, abs(quad - moment) / moment)
+    checks.append(Check("clipped moment quadrature (r = 0.5, 1.5)", "builder's C_zz / (4pi/3)",
+                        worst, worst, 1e-12))
 
-    # sign(m.u1) sign(n.v1) attains the LHV bound: a.T b, a = int sign(m.u1) m dm.
+    # sign(m.u1) sign(n.v1) attains the LHV bound: a.T b, a = int sign(m.u1) m dm, exact
+    # on the split grid turned by n @ frame[[1, 2, 0]] to put its pole on u1 (v1).
     worst = 0.0
     for _ in range(5):
         tensor = states.pauli_expansion(states.random_density_matrix(rng))
         schmidt = _svd3.svd3(tensor.block)
-        a, b = (_signed_first_moment(g_split, frame) for frame in (schmidt.u, schmidt.v))
+        a, b = (sphere.integrate(g_split, lambda n: np.sign(n[:, 2:]) * (n @ frame[[1, 2, 0]]))
+                for frame in (schmidt.u, schmidt.v))
         worst = max(worst, abs(float(a @ tensor.block @ b) / oracle.lhv_bound(schmidt) - 1.0))
     checks.append(Check("lhv bound saturation (5 states)", "(2pi)^2 T1", worst, worst, 1e-12))
     return checks

@@ -98,15 +98,9 @@ def test_criterion_4_norm_identity():
 
 
 def test_criterion_5_orthogonality_relation():
-    grid = sk.sphere_grid(8)
-    worst = 0.0
-    for k in range(3):
-        for l in range(3):
-            value = sk.integrate(grid, lambda p: p[:, k] * p[:, l])
-            target = FOUR_PI / 3.0 if k == l else 0.0
-            defect = abs(value - target)
-            assert defect <= 1e-12, (k, l)
-            worst = max(worst, defect)
+    moments = sk.integrate(sk.sphere_grid(8), lambda p: p[:, :, None] * p[:, None, :])
+    worst = float(np.max(np.abs(moments - (FOUR_PI / 3.0) * np.eye(3))))
+    assert worst <= 1e-12
     report(5, worst <= 1e-12, f"orthogonality defect {worst:.2e} over all (k,l)")
 
 

@@ -442,7 +442,7 @@ FAST_TABLE = [
     ("ns bound saturation (5 states)", "(8pi^2/3) T1", "1e-06", "pass"),
     ("chsh maximum, Born rule (5 states)", "2 sqrt(T1^2+T2^2)", "1e-12", "pass"),
     ("abs-cos integral (split grid)", "2pi", "1e-12", "pass"),
-    ("projection constant", "sqrt(3pi)", "1e-12", "pass"),
+    ("clipped moment quadrature (r = 0.5, 1.5)", "builder's C_zz / (4pi/3)", "1e-12", "pass"),
     ("lhv bound saturation (5 states)", "(2pi)^2 T1", "1e-12", "pass"),
 ]
 

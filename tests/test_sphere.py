@@ -6,7 +6,6 @@ import pytest
 
 import steerkit as sk
 from helpers import monomial_sphere_integral
-from steerkit import verify
 
 FOUR_PI = 4.0 * np.pi
 
@@ -33,12 +32,36 @@ def test_grid_invariant_enforced():
         sk.SphereGrid(grid.points, grid.weights * 1.001)
 
 
+def outer(p):
+    return p[:, :, None] * p[:, None, :]
+
+
 def test_orthogonality_minimal_grid():
-    assert verify._orthogonality_defect(sk.sphere_grid(2)) <= 1e-12
+    moments = sk.integrate(sk.sphere_grid(2), outer)
+    assert np.max(np.abs(moments - (FOUR_PI / 3.0) * np.eye(3))) <= 1e-12
 
 
 def test_orthogonality_production_grid():
-    assert verify._orthogonality_defect(sk.sphere_grid(8)) <= 1e-12
+    moments = sk.integrate(sk.sphere_grid(8), outer)
+    assert np.max(np.abs(moments - (FOUR_PI / 3.0) * np.eye(3))) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [
+    sk.sphere_grid(2), sk.sphere_grid(8), sk.sphere_grid(8, (0.0,)), sk.sphere_grid(6, (-0.5, 0.5)),
+], ids=["N2", "N8", "N8-split", "N6-panels"])
+@pytest.mark.parametrize("f", [np.exp, outer], ids=["n3", "n33"])
+def test_array_integrand_is_its_componentwise_integrals(grid, f):
+    integral = sk.integrate(grid, f)
+    shape = f(grid.points).shape[1:]
+    assert isinstance(integral, np.ndarray) and integral.shape == shape
+    # The array's sum adds the weighted rows in turn and a scalar's pairwise, so
+    # they may part by the (n - 1) eps bound of a sum of n terms, scaled by int |f|.
+    scale = sk.integrate(grid, lambda p: np.abs(f(p))).max()
+    for index in np.ndindex(shape):
+        scalar = sk.integrate(grid, lambda p: f(p)[(slice(None), *index)])
+        assert type(scalar) is float
+        assert scalar == float((grid.weights * f(grid.points)[(slice(None), *index)]).sum())
+        assert abs(integral[index] - scalar) <= len(grid) * np.finfo(float).eps * scale, index
 
 
 def test_off_diagonal_component_vanishes():

@@ -1,6 +1,7 @@
 """The verify bench's power: each plausible fault, patched in alone, fails
-the bench line that is meant to see it and no other."""
+the bench lines that are meant to see it and no other."""
 
+import numpy as np
 import pytest
 
 from steerkit import oracle, states, verify
@@ -38,6 +39,37 @@ def _patch_moments(monkeypatch, change):
     monkeypatch.setattr(oracle, "_columns", patched)
 
 
+def _patch_rows(monkeypatch, change):
+    # The builder reads its (weights, hidden, kinds, vectors) rows through ``change``.
+    build = oracle._columns
+
+    def patched(weights, hidden, kinds, vectors, values, starts):
+        return build(*change(weights, hidden, kinds, vectors), values, starts)
+
+    monkeypatch.setattr(oracle, "_columns", patched)
+
+
+def _kind_weight(monkeypatch, kind):
+    # The rows of one kind weighted 1% high in every moment built.
+    _patch_rows(monkeypatch, lambda w, h, k, v: (np.where(k == kind, 1.01 * w, w), h, k, v))
+
+
+def clipped_moment(monkeypatch):
+    _kind_weight(monkeypatch, oracle._CLIPPED)
+
+
+def sign_moment(monkeypatch):
+    _kind_weight(monkeypatch, oracle._SIGN)
+
+
+def constant_moment(monkeypatch):
+    # Constant rows given the moment 0.05 * 2pi along their hidden state: the builder
+    # reads the vector 0.075 lambda (clipped moment 4pi 0.075 / 3 = 0.05 * 2pi), which
+    # the correlation function ignores for a constant.
+    _patch_rows(monkeypatch, lambda w, h, k, v: (
+        w, h, k, np.where((k == oracle._CONSTANT)[:, None], 0.075 * h, v)))
+
+
 def transposed_moment(monkeypatch):
     # Each model's C built as lambda a^T in place of a lambda^T.
     _patch_moments(monkeypatch, lambda t: t.reshape(-1, 4, 4).transpose(0, 2, 1).reshape(-1, 16))
@@ -57,20 +89,34 @@ def lhv_coefficient(monkeypatch):
     monkeypatch.setattr(oracle, "_LHV_COEFF", oracle._LHV_COEFF * 1.01)
 
 
-# Each fault with the one line that must fail under it.
+CHSH, SATURATION, LHV, CLIPPED = (
+    "chsh maximum, Born rule (5 states)", "ns bound saturation (5 states)",
+    "lhv bound saturation (5 states)", "clipped moment quadrature (r = 0.5, 1.5)")
+
+# Each fault with the lines, in print order, that must fail under it.
 FAULTS = [
-    (transposed_expansion, "chsh maximum, Born rule (5 states)"),
-    (conjugated_expansion, "chsh maximum, Born rule (5 states)"),
-    (transposed_overlap_block, "ns bound saturation (5 states)"),
-    (transposed_moment, "ns bound saturation (5 states)"),
-    (moment_factor, "ns bound saturation (5 states)"),
-    (ns_coefficient, "ns bound saturation (5 states)"),
-    (lhv_coefficient, "lhv bound saturation (5 states)"),
+    (transposed_expansion, [CHSH]),
+    (conjugated_expansion, [CHSH]),
+    (transposed_overlap_block, [SATURATION]),
+    (transposed_moment, [SATURATION]),
+    # The clipped moment line reads the builder's C_zz / (4pi/3) as well.
+    (moment_factor, [SATURATION, CLIPPED]),
+    (ns_coefficient, [SATURATION]),
+    (lhv_coefficient, [LHV]),
+    (clipped_moment, [CLIPPED]),
+    (sign_moment, [SATURATION]),
 ]
 
 
-@pytest.mark.parametrize("fault, line", FAULTS, ids=[fault.__name__ for fault, _ in FAULTS])
-def test_fault_fails_its_line(monkeypatch, fault, line):
+@pytest.mark.parametrize("fault, lines", FAULTS, ids=[fault.__name__ for fault, _ in FAULTS])
+def test_fault_fails_its_line(monkeypatch, fault, lines):
     fault(monkeypatch)
     failed = [check.name for check in verify.run_checks("fast", 42) if not check.passed]
-    assert failed == [line]
+    assert failed == lines
+
+
+def test_constant_moment_fails_monte_carlo(monkeypatch):
+    # Only the full level's Monte Carlo line samples E_NS itself.
+    constant_moment(monkeypatch)
+    failed = [check.name for check in verify.run_checks("full", 42) if not check.passed]
+    assert failed == ["ns overlap Monte Carlo (1e6 samples)"]
