@@ -41,7 +41,6 @@ _EXPORTS = {
         "lhv_bound",
         "model_state_overlap",
         "model_state_overlap_mc",
-        "model_state_overlaps",
         "norm_eq_analytic",
         "ns_bound",
         "ns_correlation_fn",

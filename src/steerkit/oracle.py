@@ -13,7 +13,7 @@ product over the product of Bloch spheres obeys
 
 with T1 the top singular value of T, while (E_Q, E_Q) equals
 (16 pi^2 / 9) ||T||^2; a sign response on the top singular vectors attains
-the bound. ``model_state_overlaps`` and ``ns_bound`` compute the two sides;
+the bound. ``model_state_overlap`` and ``ns_bound`` compute the two sides;
 the verify bench compares them. A response is a SignResponse,
 ClippedLinearResponse or ConstantResponse, matched on the exact type. Models
 are held as columns and drawn a stack at a time.
@@ -26,7 +26,8 @@ the m-integral is M axis with M = 2 pi int clip(norm z, -1, 1) z dz, and
 C = (4 pi / 3) sum_k p_k M_k axis_k lambda_k^T (M = 0 for a constant). C is
 taken in closed form when a model or stack is built, and an overlap is one
 BLAS dot of its raveled table with the tensor's, so its last bits are those
-of the numpy/BLAS build, as svd3's are.
+of the numpy/BLAS build, as svd3's are. A stack of models takes one overlap
+per model: a stacked product may round differently from the per-row dot.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -237,14 +237,8 @@ def saturating_model(schmidt: SchmidtForm) -> HiddenStateModel:
 
 def model_state_overlap(tensor, model: HiddenStateModel) -> float:
     """(E_Q, E_NS) = <T, C>: one dot of the model's moment table with the
-    tensor's. ``model_state_overlaps`` calls it per model, as a stacked
-    product may round differently from the per-row dot."""
+    tensor's."""
     return float(model.moment.dot(tensor.full.ravel()))
-
-
-def model_state_overlaps(tensor, models: Sequence[HiddenStateModel]) -> list[float]:
-    """(E_Q, E_NS) of each model, each by ``model_state_overlap``."""
-    return [model_state_overlap(tensor, model) for model in models]
 
 
 def model_state_overlap_mc(tensor, model: HiddenStateModel, samples: int,

@@ -23,7 +23,7 @@ def test_star_import_binds_every_listed_name():
     namespace = {}
     exec("from steerkit import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(sk.__all__)
-    assert len(sk.__all__) == 43
+    assert len(sk.__all__) == 42
 
 
 def test_every_export_has_a_caller_outside_tests():

@@ -97,7 +97,7 @@ def test_builtin_responses_not_sampled(monkeypatch):
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
     schmidt = sk.svd3(tensor.block)
     models = [*sk.random_models(rng, 50), sk.saturating_model(schmidt)]
-    overlaps = sk.model_state_overlaps(tensor, models)
+    overlaps = [sk.model_state_overlap(tensor, model) for model in models]
     assert len(overlaps) == 51
     assert max(overlaps) <= (1.0 + 1e-6) * sk.ns_bound(schmidt)
 
@@ -499,32 +499,6 @@ def _extra_model(rng):
         for w, r in zip((weights / weights.sum()).tolist(), responses)))
 
 
-def test_model_state_overlaps_match_single_calls():
-    rng = np.random.default_rng(21)
-    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    for k in range(500):
-        models = sk.random_models(rng, k % 7)
-        models.insert(int(rng.integers(len(models) + 1)), _extra_model(rng))
-        stacked = sk.model_state_overlaps(tensor, models)
-        assert len(stacked) == len(models)
-        for model, value in zip(models, stacked):
-            assert value == sk.model_state_overlap(tensor, model)
-    assert sk.model_state_overlaps(tensor, []) == []
-
-
-@pytest.mark.parametrize("count", [1, 30, 500, 2000])
-def test_single_overlap_is_bitwise_its_row_of_the_stack(count):
-    # Each row's product and sum ignore the other rows, so a model's overlap
-    # on its own columns is its entry in any stack, bit for bit.
-    rng = np.random.default_rng(2500 + count)
-    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    models = sk.random_models(rng, count)
-    models += [sk.saturating_model(sk.svd3(tensor.block)),
-               sk.HiddenStateModel(models[0].components)]
-    stacked = sk.model_state_overlaps(tensor, models)
-    assert [sk.model_state_overlap(tensor, model) for model in models] == stacked
-
-
 def test_random_models_build_no_objects(monkeypatch):
     # The draw goes from arrays to columns; no component or response object
     # is built on the way, and the overlaps still meet the closed forms.
@@ -540,7 +514,8 @@ def test_random_models_build_no_objects(monkeypatch):
     for _ in range(3):
         tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
         bound = sk.ns_bound(sk.svd3(tensor.block))
-        for model, value in zip(models, sk.model_state_overlaps(tensor, models)):
+        for model in models:
+            value = sk.model_state_overlap(tensor, model)
             assert abs(value - reference_overlap(tensor.block, model)) <= 1e-12 * bound
 
 
@@ -549,7 +524,6 @@ def test_model_from_its_components_has_the_same_overlaps():
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
     models = [*sk.random_models(rng, 300), _extra_model(rng)]
     rebuilt = [sk.HiddenStateModel(model.components) for model in models]
-    assert sk.model_state_overlaps(tensor, rebuilt) == sk.model_state_overlaps(tensor, models)
     for model, copy in zip(models, rebuilt):
         assert sk.model_state_overlap(tensor, copy) == sk.model_state_overlap(tensor, model)
 
@@ -583,7 +557,8 @@ def test_overlap_is_the_term_by_term_sum(seed, kinds):
             rng.uniform(0.0, 1.0, len(kinds)).tolist(),
             rng.uniform(-1.0, 1.0, len(kinds)).tolist())))
     models = [*sk.random_models(rng, 20), hand]
-    for model, value in zip(models, sk.model_state_overlaps(tensor, models)):
+    for model in models:
+        value = sk.model_state_overlap(tensor, model)
         assert abs(value - reference_overlap(tensor.block, model)) <= 1e-15 * bound
 
 
@@ -672,7 +647,7 @@ def test_saturation_on_random_states():
 def test_ns_inequality_property(seed):
     rng = np.random.default_rng(seed)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    (lhs,) = sk.model_state_overlaps(tensor, [sk.random_model(rng)])
+    lhs = sk.model_state_overlap(tensor, sk.random_model(rng))
     assert lhs <= (1.0 + 1e-6) * sk.ns_bound(sk.svd3(tensor.block))
 
 

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -123,12 +122,6 @@ def test_signed_cos_vanishes_by_symmetry():
     grid = sk.sphere_grid(8)
     value = sk.integrate(grid, lambda p: p[:, 2])
     assert abs(value) <= 1e-14
-
-
-def test_projection_norm_constant():
-    grid = sk.sphere_grid(8, breakpoints=(0.0,))
-    constant = math.sqrt(3.0 / FOUR_PI) * sk.integrate(grid, abs_cos)
-    assert abs(constant - math.sqrt(3.0 * np.pi)) <= 1e-12
 
 
 def test_rules_are_read_only():

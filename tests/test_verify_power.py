@@ -23,9 +23,9 @@ def conjugated_expansion(monkeypatch):
 
 def transposed_overlap_block(monkeypatch):
     # (E_Q, E_NS) integrated against T transposed.
-    overlaps = oracle.model_state_overlaps
-    monkeypatch.setattr(oracle, "model_state_overlaps", lambda tensor, models: overlaps(
-        states.CorrelationTensor(tensor.full.T), models))
+    overlap = oracle.model_state_overlap
+    monkeypatch.setattr(oracle, "model_state_overlap", lambda tensor, model: overlap(
+        states.CorrelationTensor(tensor.full.T), model))
 
 
 def _patch_moments(monkeypatch, change):
@@ -115,8 +115,20 @@ def test_fault_fails_its_line(monkeypatch, fault, lines):
     assert failed == lines
 
 
-def test_constant_moment_fails_monte_carlo(monkeypatch):
+MONTE_CARLO = "ns overlap Monte Carlo (1e6 samples)"
+
+# Faults whose lines differ at the full level, with the lines that must fail there.
+FULL_FAULTS = [
     # Only the full level's Monte Carlo line samples E_NS itself.
-    constant_moment(monkeypatch)
+    (constant_moment, [MONTE_CARLO]),
+    # The Monte Carlo line's exact side is an overlap too.
+    (transposed_overlap_block, ["ns bound saturation (20 states)", MONTE_CARLO]),
+]
+
+
+@pytest.mark.parametrize("fault, lines", FULL_FAULTS,
+                         ids=[fault.__name__ for fault, _ in FULL_FAULTS])
+def test_fault_fails_its_full_lines(monkeypatch, fault, lines):
+    fault(monkeypatch)
     failed = [check.name for check in verify.run_checks("full", 42) if not check.passed]
-    assert failed == ["ns overlap Monte Carlo (1e6 samples)"]
+    assert failed == lines
