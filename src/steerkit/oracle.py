@@ -6,28 +6,37 @@ Alice's settings. Its correlation function is
 
     E_NS(m, n) = sum_k p_k I_k(m) (n . lambda_k),   |I_k| <= 1.
 
-Against a fixed quantum correlation E_Q(m, n) = m . T n, the scalar
-product over the product of Bloch spheres obeys
+A response is a SignResponse, ClippedLinearResponse or ConstantResponse,
+matched on the exact type. Models are held as columns and drawn a stack at
+a time.
 
-    (E_Q, E_NS) <= (8 pi^2 / 3) T1,
-
-with T1 the top singular value of T, while (E_Q, E_Q) equals
-(16 pi^2 / 9) ||T||^2; a sign response on the top singular vectors attains
-the bound. ``model_state_overlap`` and ``ns_bound`` compute the two sides;
-the verify bench compares them. A response is a SignResponse,
-ClippedLinearResponse or ConstantResponse, matched on the exact type. Models
-are held as columns and drawn a stack at a time.
-
-E_Q lies in the span of the nine functions m_i n_j, so only a model's
-moment matrix C = int int m n^T E_NS dm dn enters the overlap, which is
-<T, C>. The n-integral is (4 pi / 3) lambda; sign and clipped responses
-share I(m) = clip(norm z, -1, 1), z = m . axis (a sign is norm = inf), so
-the m-integral is M axis with M = 2 pi int clip(norm z, -1, 1) z dz, and
+E_Q(m, n) = m . T n lies in the span of the nine functions m_i n_j, so only
+a model's moment matrix C = int int m n^T E_NS dm dn enters the overlap over
+the product of Bloch spheres, which is <T, C>. The n-integral is
+(4 pi / 3) lambda; sign and clipped responses share I(m) = clip(norm z, -1, 1),
+z = m . axis (a sign is norm = inf), so the m-integral is M axis with
+M = 2 pi int clip(norm z, -1, 1) z dz, and
 C = (4 pi / 3) sum_k p_k M_k axis_k lambda_k^T (M = 0 for a constant). C is
 taken in closed form when a model or stack is built, and an overlap is one
 BLAS dot of its raveled table with the tensor's, so its last bits are those
 of the numpy/BLAS build, as svd3's are. A stack of models takes one overlap
 per model: a stacked product may round differently from the per-row dot.
+
+Every bound is one duality. The moments of a model class X have trace norm
+||C||_* <= kappa_X, and ||C||_* is the largest <W, C> over test tensors W
+with top singular value sigma_1(W) <= 1 (von Neumann's trace inequality),
+reached at the polar factor W = u^T v of C. So (E_W, E_X) <= kappa_X sigma_1(W)
+for every W, with
+
+    kappa_NS  = (4 pi / 3) 2 pi = 8 pi^2 / 3   non-steering: C above, |M| <= 2 pi
+    kappa_LHV = (2 pi)^2 = 4 pi^2              local causal: C = sum p M_A M_B a b^T
+    kappa_sep = (4 pi / 3)^2 = 16 pi^2 / 9     product states: C = (4 pi / 3)^2 sum p a b^T
+
+A sign response on the top singular vectors of T attains kappa_NS T1, and
+(E_Q, E_Q) is kappa_sep ||T||^2, so a class-X model of a state needs
+T1 >= c_X ||T||^2 with c_X = kappa_sep / kappa_X: the ladder's factors 1,
+2/3 and 4/9. ``ns_bound`` and ``lhv_bound`` read those factors from
+``criteria`` at each call.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import tensor_norm_sq
+from . import criteria
 from .sphere import uniform_sphere
 from .states import UNIT_NORM_TOL, correlation_fn, unit_vector
 from .svd3 import SchmidtForm
@@ -46,8 +55,6 @@ from .svd3 import SchmidtForm
 WEIGHT_SUM_TOL = 1e-12
 MAX_COMPONENTS = 8
 
-_NS_COEFF = 8.0 * math.pi ** 2 / 3.0
-_LHV_COEFF = 4.0 * math.pi ** 2
 _NORM_COEFF = 16.0 * math.pi ** 2 / 9.0
 _MC_BLOCK = 2 ** 16
 
@@ -209,17 +216,17 @@ def ns_correlation_fn(model: HiddenStateModel):
 
 def norm_eq_analytic(tensor) -> float:
     """Closed form of (E_Q, E_Q): (16 pi^2 / 9) ||T||^2."""
-    return _NORM_COEFF * tensor_norm_sq(tensor)
+    return _NORM_COEFF * criteria.tensor_norm_sq(tensor)
 
 
 def ns_bound(schmidt: SchmidtForm) -> float:
     """Largest (E_Q, E_NS) over non-steering models: (8 pi^2 / 3) T1."""
-    return _NS_COEFF * schmidt.t1
+    return _NORM_COEFF / criteria._GEOMETRIC[criteria.Criterion.GEOMETRIC_STEERING] * schmidt.t1
 
 
 def lhv_bound(schmidt: SchmidtForm) -> float:
     """Counterpart bound for local hidden variable models: (2 pi)^2 T1."""
-    return _LHV_COEFF * schmidt.t1
+    return _NORM_COEFF / criteria._GEOMETRIC[criteria.Criterion.GEOMETRIC_BELL] * schmidt.t1
 
 
 def saturating_model(schmidt: SchmidtForm) -> HiddenStateModel:

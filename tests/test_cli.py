@@ -438,7 +438,7 @@ FAST_TABLE = [
     ("(E_Q,E_Q) Werner(1) = 16pi^2/3", "52.637890", "1e-10", "pass"),
     ("norm identity (10 random states)", "(16pi^2/9)||T||^2", "1e-10", "pass"),
     ("vector integral identity (20 draws)", "(4pi/3) m.T lambda", "1e-12", "pass"),
-    ("ns inequality (1000 models)", "(E_Q,E_NS) <= (8pi^2/3) T1", "1e-06", "pass"),
+    ("ns inequality (1000 models)", "||C||_* <= 8pi^2/3", "1e-06", "pass"),
     ("ns bound saturation (5 states)", "(8pi^2/3) T1", "1e-06", "pass"),
     ("chsh maximum, Born rule (5 states)", "2 sqrt(T1^2+T2^2)", "1e-12", "pass"),
     ("abs-cos integral (split grid)", "2pi", "1e-12", "pass"),
@@ -459,7 +459,7 @@ def test_verify_fast_table_pinned(capsys):
               for r in rows]
     assert parsed == FAST_TABLE
     values = {r[:42].rstrip(): r[72:86].strip() for r in rows}
-    assert values["ns inequality (1000 models)"] == "-1.197417e-01"
+    assert values["ns inequality (1000 models)"] == "4.049608e-16"
 
 
 def test_verify_run_checks_records():
@@ -507,14 +507,17 @@ def test_verify_injected_fault_fails(capsys, monkeypatch):
 
 
 def test_verify_takes_one_svd_per_tensor(monkeypatch):
-    # Five tensors each for the ns inequality, its saturation, the LHV
-    # bound's saturation and the Born-rule CHSH maximum; every decomposition
-    # goes through np.linalg.svd, whatever binding of svd3 called it.
+    # Five tensors each for the ns bound's saturation, the LHV bound's
+    # saturation and the Born-rule CHSH maximum, and the identity whose
+    # top singular value scales the ns inequality's bound; every svd3 goes
+    # through np.linalg.svd, whatever binding of svd3 called it. The
+    # models' trace norms take their SVDs inside np.linalg.norm, whose
+    # module calls its own binding of svd.
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a: calls.append(a) or svd(a))
     verify.run_checks("fast", 42)
-    assert len(calls) == 20
+    assert len(calls) == 16
 
 
 # --- properties over the command line ---------------------------------------------

@@ -272,6 +272,9 @@ def test_ns_bound_werner():
     schmidt = sk.svd3(sk.pauli_expansion(sk.werner(v)).block)
     assert sk.ns_bound(schmidt) == pytest.approx(8.0 * np.pi**2 / 3.0 * v, rel=1e-13)
     assert sk.lhv_bound(schmidt) == pytest.approx(4.0 * np.pi**2 * v, rel=1e-13)
+    # The steering bound is (16 pi^2 / 9) over the ladder's 2/3, bit for bit 8 pi^2 / 3.
+    assert (16.0 * np.pi**2 / 9.0) / (2.0 / 3.0) == 8.0 * np.pi**2 / 3.0
+    assert sk.ns_bound(sk.svd3(np.eye(3))) == 8.0 * np.pi**2 / 3.0
 
 
 def test_bound_ratio_is_two_thirds():
@@ -647,8 +650,18 @@ def test_saturation_on_random_states():
 def test_ns_inequality_property(seed):
     rng = np.random.default_rng(seed)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    lhs = sk.model_state_overlap(tensor, sk.random_model(rng))
-    assert lhs <= (1.0 + 1e-6) * sk.ns_bound(sk.svd3(tensor.block))
+    bound = sk.ns_bound(sk.svd3(tensor.block))
+    kappa = sk.ns_bound(sk.svd3(np.eye(3)))
+    for model in sk.random_models(rng, 64):
+        assert sk.model_state_overlap(tensor, model) <= (1.0 + 1e-6) * bound
+        # The duality: at the polar factor W = u^T v of its C, a model's overlap is
+        # ||C||_*, the largest over sigma_1(W) <= 1, and stays within the bound at W.
+        # A model of constants has C = 0, hence the absolute tolerance.
+        u, sigma, vt = np.linalg.svd(moment_block(model))
+        w = u @ vt
+        overlap = sk.model_state_overlap(tensor_from_block(w), model)
+        assert abs(overlap - sigma.sum()) <= 1e-12 * kappa
+        assert overlap <= sk.ns_bound(sk.svd3(w)) * (1.0 + 1e-12)
 
 
 def test_steering_detection_equivalence():

@@ -4,7 +4,7 @@ the bench lines that are meant to see it and no other."""
 import numpy as np
 import pytest
 
-from steerkit import oracle, states, verify
+from steerkit import criteria, oracle, states, verify
 
 
 def transposed_expansion(monkeypatch):
@@ -49,17 +49,34 @@ def _patch_rows(monkeypatch, change):
     monkeypatch.setattr(oracle, "_columns", patched)
 
 
-def _kind_weight(monkeypatch, kind):
-    # The rows of one kind weighted 1% high in every moment built.
-    _patch_rows(monkeypatch, lambda w, h, k, v: (np.where(k == kind, 1.01 * w, w), h, k, v))
+def _kind_weight(monkeypatch, kind, factor=1.01):
+    # The rows of one kind weighted ``factor`` high in every moment built.
+    _patch_rows(monkeypatch, lambda w, h, k, v: (np.where(k == kind, factor * w, w), h, k, v))
 
 
 def clipped_moment(monkeypatch):
     _kind_weight(monkeypatch, oracle._CLIPPED)
 
 
+def clipped_moment_large(monkeypatch):
+    # A clipped moment 50% high lifts a one-component r = 2 model past 2pi.
+    _kind_weight(monkeypatch, oracle._CLIPPED, 1.5)
+
+
 def sign_moment(monkeypatch):
     _kind_weight(monkeypatch, oracle._SIGN)
+
+
+def first_row_weight(monkeypatch):
+    # Each model's first row weighted 1% high, the rows after it as drawn.
+    build = oracle._columns
+
+    def patched(weights, hidden, kinds, vectors, values, starts):
+        weights = weights.copy()
+        weights[starts] *= 1.01
+        return build(weights, hidden, kinds, vectors, values, starts)
+
+    monkeypatch.setattr(oracle, "_columns", patched)
 
 
 def constant_moment(monkeypatch):
@@ -80,31 +97,41 @@ def moment_factor(monkeypatch):
     _patch_moments(monkeypatch, lambda t: 1.01 * t)
 
 
-def ns_coefficient(monkeypatch):
-    monkeypatch.setattr(oracle, "_NS_COEFF", oracle._NS_COEFF * 1.01)
+def _factor(monkeypatch, criterion):
+    # One factor of the criteria ladder 1% high, as the bounds read it.
+    monkeypatch.setitem(criteria._GEOMETRIC, criterion, 1.01 * criteria._GEOMETRIC[criterion])
 
 
-def lhv_coefficient(monkeypatch):
-    # The LHV bound's saturation is integrated, so a wrong coefficient shows.
-    monkeypatch.setattr(oracle, "_LHV_COEFF", oracle._LHV_COEFF * 1.01)
+def steering_factor(monkeypatch):
+    _factor(monkeypatch, criteria.Criterion.GEOMETRIC_STEERING)
 
 
-CHSH, SATURATION, LHV, CLIPPED = (
-    "chsh maximum, Born rule (5 states)", "ns bound saturation (5 states)",
-    "lhv bound saturation (5 states)", "clipped moment quadrature (r = 0.5, 1.5)")
+def bell_factor(monkeypatch):
+    # The LHV bound's saturation is integrated, so a wrong factor shows.
+    _factor(monkeypatch, criteria.Criterion.GEOMETRIC_BELL)
+
+
+CHSH, INEQUALITY, SATURATION, LHV, CLIPPED = (
+    "chsh maximum, Born rule (5 states)", "ns inequality (1000 models)",
+    "ns bound saturation (5 states)", "lhv bound saturation (5 states)",
+    "clipped moment quadrature (r = 0.5, 1.5)")
 
 # Each fault with the lines, in print order, that must fail under it.
 FAULTS = [
     (transposed_expansion, [CHSH]),
     (conjugated_expansion, [CHSH]),
     (transposed_overlap_block, [SATURATION]),
+    # A transposed C keeps its trace norm.
     (transposed_moment, [SATURATION]),
     # The clipped moment line reads the builder's C_zz / (4pi/3) as well.
-    (moment_factor, [SATURATION, CLIPPED]),
-    (ns_coefficient, [SATURATION]),
-    (lhv_coefficient, [LHV]),
+    (moment_factor, [INEQUALITY, SATURATION, CLIPPED]),
+    (steering_factor, [INEQUALITY, SATURATION]),
+    (bell_factor, [LHV]),
     (clipped_moment, [CLIPPED]),
-    (sign_moment, [SATURATION]),
+    (clipped_moment_large, [INEQUALITY, CLIPPED]),
+    # A one-component sign model sits on the bound, so 1% lifts it past.
+    (sign_moment, [INEQUALITY, SATURATION]),
+    (first_row_weight, [INEQUALITY, SATURATION, CLIPPED]),
 ]
 
 
@@ -116,13 +143,17 @@ def test_fault_fails_its_line(monkeypatch, fault, lines):
 
 
 MONTE_CARLO = "ns overlap Monte Carlo (1e6 samples)"
+FULL_INEQUALITY, FULL_SATURATION = (
+    "ns inequality (10000 models)", "ns bound saturation (20 states)")
 
-# Faults whose lines differ at the full level, with the lines that must fail there.
+# Faults checked at the full level too, with the lines that must fail there.
 FULL_FAULTS = [
     # Only the full level's Monte Carlo line samples E_NS itself.
     (constant_moment, [MONTE_CARLO]),
     # The Monte Carlo line's exact side is an overlap too.
-    (transposed_overlap_block, ["ns bound saturation (20 states)", MONTE_CARLO]),
+    (transposed_overlap_block, [FULL_SATURATION, MONTE_CARLO]),
+    (clipped_moment_large, [FULL_INEQUALITY, CLIPPED]),
+    (first_row_weight, [FULL_INEQUALITY, FULL_SATURATION, CLIPPED]),
 ]
 
 
