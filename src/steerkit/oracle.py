@@ -6,9 +6,9 @@ Alice's settings. Its correlation function is
 
     E_NS(m, n) = sum_k p_k I_k(m) (n . lambda_k),   |I_k| <= 1.
 
-A response is a SignResponse, ClippedLinearResponse or ConstantResponse,
-matched on the exact type. Models are held as columns and drawn a stack at
-a time.
+A model is held as columns, a row per component whose response is a sign,
+a clipped linear function or a constant; one check refuses any input that
+is not such a model. Models are drawn a stack at a time.
 
 E_Q(m, n) = m . T n lies in the span of the nine functions m_i n_j, so only
 a model's moment matrix C = int int m n^T E_NS dm dn enters the overlap over
@@ -42,14 +42,13 @@ T1 >= c_X ||T||^2 with c_X = kappa_sep / kappa_X: the ladder's factors 1,
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import criteria
 from .sphere import uniform_sphere
-from .states import UNIT_NORM_TOL, correlation_fn, unit_vector
+from .states import UNIT_NORM_TOL, correlation_fn
 from .svd3 import SchmidtForm
 
 WEIGHT_SUM_TOL = 1e-12
@@ -63,92 +62,42 @@ class DegenerateTensor(ValueError):
     """The correlation tensor has no usable top singular direction."""
 
 
-@dataclass(frozen=True, eq=False)
-class SignResponse:
-    """I(m) = sign(m . axis); jumps across the plane orthogonal to axis."""
-
-    axis: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", unit_vector(self.axis))
-
-    def __call__(self, m):
-        return np.sign(np.asarray(m) @ self.axis)
-
-
-@dataclass(frozen=True, eq=False)
-class ClippedLinearResponse:
-    """I(m) = clip(m . vector, -1, 1); kinks appear once |vector| > 1."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.vector, dtype=float)
-        if not (v.shape == (3,) and math.sqrt(v.dot(v)) <= 2.0 + 1e-12):
-            raise ValueError("vector must be a 3-vector with norm <= 2")
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
-
-    def __call__(self, m):
-        return np.minimum(np.maximum(np.asarray(m) @ self.vector, -1.0), 1.0)
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantResponse:
-    """I(m) = value, independent of the setting; a real number, kept as a float."""
-
-    value: float
-
-    def __post_init__(self):
-        if not isinstance(self.value, numbers.Real):  # a complex one too, 0.5+0j included
-            raise TypeError(f"constant response must be a real number, got {self.value!r}")
-        if not abs(self.value) <= 1.0:
-            raise ValueError("constant response must lie in [-1, 1]")
-        object.__setattr__(self, "value", float(self.value))
-
-    def __call__(self, m):
-        return np.full(np.shape(m)[:-1], self.value, dtype=float)
-
-
-# A response's kind is its index here, matched on the exact type.
+# A model's rows as records, built only by ``HiddenStateModel.components`` from
+# checked columns. The responses are I(m) = sign(m . axis), clip(m . vector,
+# -1, 1), with kinks once |vector| > 1, and a constant value; a kind is the
+# index of its record in ``_KINDS``.
+SignResponse = NamedTuple("SignResponse", [("axis", np.ndarray)])
+ClippedLinearResponse = NamedTuple("ClippedLinearResponse", [("vector", np.ndarray)])
+ConstantResponse = NamedTuple("ConstantResponse", [("value", float)])
+ModelComponent = NamedTuple("ModelComponent", [("weight", float), ("hidden_state", np.ndarray),
+                                               ("response", object)])
 _KINDS = (SignResponse, ClippedLinearResponse, ConstantResponse)
 _SIGN, _CLIPPED, _CONSTANT = range(3)
 _COLUMNS = ("weights", "hidden", "kinds", "vectors", "values")
-
-
-@dataclass(frozen=True, eq=False)
-class ModelComponent:
-    weight: float
-    hidden_state: np.ndarray
-    response: object
-
-    def __post_init__(self):
-        if not 0.0 <= self.weight < math.inf:
-            raise ValueError(f"weight {self.weight!r} is not finite and non-negative")
-        object.__setattr__(self, "hidden_state", unit_vector(self.hidden_state))
-        if type(self.response) not in _KINDS:
-            raise TypeError("response must be a SignResponse, ClippedLinearResponse"
-                            f" or ConstantResponse, got {type(self.response).__name__}")
+# What ``_check`` measures of each row, and _LIMITS[0 least or 1 largest,
+# measure, kind] its bounds. The sum of |entries| alone sees a constant's
+# vector whose squares underflow; the sum of the weights is checked per model.
+_MEASURES = ("weight", "hidden-state norm", "vector norm", "vector's sum of |entries|", "value")
+_UNIT, _ZERO, _ANY = (1.0 - UNIT_NORM_TOL, 1.0 + UNIT_NORM_TOL), (0.0, 0.0), (0.0, math.inf)
+_LIMITS = np.array([[_ANY, _UNIT, _UNIT, _ANY, _ZERO],  # sign
+                    [_ANY, _UNIT, (0.0, 2.0 + 1e-12), _ANY, _ZERO],  # clipped
+                    [_ANY, _UNIT, _ZERO, _ZERO, (-1.0, 1.0)]]).T  # constant
 
 
 class HiddenStateModel:
     """Finite non-steering model as read-only columns, a row per component:
-    ``weights``, ``hidden``, ``kinds`` (0 sign, 1 clipped, 2 constant),
+    ``weights``, ``hidden`` states, ``kinds`` (0 sign, 1 clipped, 2 constant),
     ``vectors`` (sign axis, clipped vector, else 0) and constant ``values``
     (else 0); ``moment`` is C in the lower-right block of a 4x4 table, raveled
-    to 16 read-only entries. ``components`` builds the same model as objects."""
+    to 16 read-only entries. The columns are copied and checked as ``_check``
+    says; ``components`` reads the rows back as records."""
 
-    def __init__(self, components):
-        comps = tuple(components)
-        if not comps:
-            raise ValueError("model needs at least one component")
-        if any(type(c) is not ModelComponent for c in comps):
-            raise TypeError("every component must be a ModelComponent")
-        total = math.fsum(c.weight for c in comps)
-        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-        rows = [(c.weight, c.hidden_state, *_parameters(c.response)) for c in comps]
-        *columns, (moment,) = _columns(*map(np.array, zip(*rows)), starts=[0])
+    def __init__(self, weights, hidden, kinds, vectors, values):
+        columns = [np.asarray(c) for c in (weights, hidden, kinds, vectors, values)]
+        _check(*columns, starts=[0])
+        # Copies, the kinds as integers and the rest as floats.
+        columns = [c.astype(int if i == 2 else float) for i, c in enumerate(columns)]
+        *columns, (moment,) = _columns(*columns, starts=[0])
         _set_columns(self, columns, moment)
 
     def __setattr__(self, name, value):
@@ -162,11 +111,39 @@ class HiddenStateModel:
                      for w, h, k, v, c in rows)
 
 
-def _parameters(r) -> tuple:
-    """(kind, vector, value): the sign axis or clipped vector, a constant's value."""
-    kind = _KINDS.index(type(r))
-    vector = r.axis if kind == _SIGN else getattr(r, "vector", (0.0, 0.0, 0.0))
-    return kind, vector, getattr(r, "value", 0.0)
+def _check(weights, hidden, kinds, vectors, values, starts) -> None:
+    """The one check of model input, for a model or a stack of models whose
+    rows start at ``starts``. A complex column raises TypeError. ValueError
+    unless the columns are (k,) and (k, 3) with k >= 1, the kinds integers 0,
+    1 or 2, each row's measures within its kind's ``_LIMITS`` (hidden states
+    and sign axes unit, a clipped vector at most 2 long, a constant's vector
+    zero and its value in [-1, 1], any other row's value 0) and the weights
+    non-negative and summing to 1 per model. NaN fails every comparison."""
+    if np.result_type(weights, hidden, kinds, vectors, values).kind == "c":
+        raise TypeError("model columns must be real")
+    rows = weights.shape
+    if not (len(rows) == 1 and rows[0] >= 1 and kinds.shape == values.shape == rows
+            and hidden.shape == vectors.shape == (*rows, 3)):
+        raise ValueError("model columns must be (k,) weights, kinds and values and"
+                         " (k, 3) hidden states and vectors, k >= 1")
+    # A negative kind cast to unsigned wraps far past 2.
+    if kinds.dtype.kind not in "iu" or not np.maximum.reduce(kinds.astype(np.uintp)) <= 2:
+        raise ValueError("kinds must be the integers 0 (sign), 1 (clipped) or 2 (constant)")
+    both = np.concatenate((hidden, vectors))  # einsum's sums raise no overflow warning
+    measures = np.concatenate((weights, np.sqrt(np.einsum("ij,ij->i", both, both)),
+                               np.einsum("ij->i", abs(vectors)), values)).reshape(5, -1)
+    low, high = _LIMITS.take(kinds, 2)
+    inside = (low <= measures) & (measures <= high)
+    if np.count_nonzero(inside) < inside.size:
+        row, col = np.argwhere(~inside.T)[0]  # the first row that fails, its first measure
+        bounds = (low[col, row].item(), high[col, row].item())
+        raise ValueError(f"row {row} (kind {kinds[row]}): {_MEASURES[col]} "
+                         f"{measures[col, row].item()!r}, " + (
+                             "not a unit vector" if bounds == _UNIT
+                             else f"outside [{bounds[0]!r}, {bounds[1]!r}]"))
+    sums = np.add.reduceat(weights, starts).tolist()
+    if not all(abs(total - 1.0) <= WEIGHT_SUM_TOL for total in sums):
+        raise ValueError(f"weights sum to {sums!r} per model, expected 1")
 
 
 def _columns(weights, hidden, kinds, vectors, values, starts) -> tuple:
@@ -237,9 +214,7 @@ def saturating_model(schmidt: SchmidtForm) -> HiddenStateModel:
     """
     if schmidt.t1 <= 1e-14:
         raise DegenerateTensor(f"top singular value {schmidt.t1!r} is negligible")
-    return HiddenStateModel(
-        (ModelComponent(1.0, schmidt.v[0], SignResponse(schmidt.u[0])),)
-    )
+    return HiddenStateModel([1.0], [schmidt.v[0]], [_SIGN], [schmidt.u[0]], [0.0])
 
 
 def model_state_overlap(tensor, model: HiddenStateModel) -> float:
@@ -299,20 +274,14 @@ def random_models(rng: np.random.Generator, count: int) -> list[HiddenStateModel
     weights /= np.add.reduceat(weights, starts).repeat(sizes)
     points = uniform_sphere(2 * total, rng)
     kind, radius, sign = rng.random((3, total)).tolist()  # U(0, 1) each
-    if not (weights.min() >= 0.0  # NaN fails too
-            and all(abs(total_weight - 1.0) <= WEIGHT_SUM_TOL
-                    for total_weight in np.add.reduceat(weights, starts).tolist())):
-        raise ValueError("weights are not finite, non-negative and summing to 1")
-    defect = np.abs(np.sqrt(np.add.reduce(points * points, 1)) - 1.0).max()
-    if not defect <= UNIT_NORM_TOL:
-        raise ValueError(f"not a unit vector, |norm - 1| = {defect:.3e}")
-    hidden, axes = points[:total], points[total:]
     rows = [(_SIGN, 1.0, 0.0) if k < 1.0 / 3.0
             else (_CLIPPED, 0.05 + 1.95 * r, 0.0) if k < 2.0 / 3.0
             else (_CONSTANT, 0.0, -1.0 if s < 0.5 else 1.0)
             for k, r, s in zip(kind, radius, sign)]
     kinds, scale, values = map(np.array, zip(*rows))
-    *columns, tables = _columns(weights, hidden, kinds, scale[:, None] * axes, values, starts)
+    columns = (weights, points[:total], kinds, scale[:, None] * points[total:], values)
+    _check(*columns, starts)
+    *columns, tables = _columns(*columns, starts)
     return [_set_columns(object.__new__(HiddenStateModel), [c[start:stop] for c in columns],
                          moment)
             for start, stop, moment in zip(starts.tolist(), stops.tolist(), tables)]

@@ -145,18 +145,6 @@ class CorrelationTensor:
         return self.full[1:, 1:]
 
 
-def unit_vector(v) -> np.ndarray:
-    """Check that v is a unit 3-vector (measurement setting or pure hidden
-    state) and return it as a read-only float copy."""
-    a = np.array(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    defect = abs(math.sqrt(a.dot(a)) - 1.0)  # NaN fails the check below
-    if not defect <= UNIT_NORM_TOL:
-        raise ValueError(f"not a unit vector, |norm - 1| = {defect:.3e}")
-    return _readonly(a)
-
-
 def pauli_expansion(state: DensityMatrix4) -> CorrelationTensor:
     """Expand a validated state over the 16 Pauli products.
 

@@ -157,8 +157,8 @@ def run_checks(level: str, seed: int) -> list[Check]:
     # The builder's M(r) = C_zz/(4pi/3) against 2pi int clip(rz, -1, 1) z dz, split at +-1/r.
     worst = 0.0
     for r in (0.5, 1.5):
-        comp = oracle.ModelComponent(1.0, (0, 0, 1), oracle.ClippedLinearResponse((0, 0, r)))
-        moment = oracle.HiddenStateModel((comp,)).moment[15] / (sphere.FOUR_PI / 3.0)
+        model = oracle.HiddenStateModel([1.0], [(0, 0, 1)], [oracle._CLIPPED], [(0, 0, r)], [0.0])
+        moment = model.moment[15] / (sphere.FOUR_PI / 3.0)
         grid = sphere.sphere_grid(8, breakpoints=(-1.0 / r, 1.0 / r) if r > 1.0 else ())
         quad = sphere.integrate(grid, lambda n: np.clip(r * n[:, 2], -1.0, 1.0) * n[:, 2])
         worst = max(worst, abs(quad - moment) / moment)

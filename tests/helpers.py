@@ -70,6 +70,16 @@ def unit_axes(model) -> np.ndarray:
     return model.vectors / norms[:, None]
 
 
+def response_value(response, m):
+    """Reference I(m) of a response record, per setting: sign(m . axis),
+    clip(m . vector, -1, 1) or the constant."""
+    if isinstance(response, sk.SignResponse):
+        return np.sign(np.asarray(m) @ response.axis)
+    if isinstance(response, sk.ClippedLinearResponse):
+        return np.clip(np.asarray(m) @ response.vector, -1.0, 1.0)
+    return np.full(np.shape(m)[:-1], response.value)
+
+
 def reference_overlap(block: np.ndarray, model) -> float:
     """(E_Q, E_NS) term by term: (4 pi / 3) fsum_k p_k M_k (a_k . T lambda_k),
     with M = 2 pi for a sign, 4 pi r / 3 for a clipped vector of norm r <= 1,

@@ -1,6 +1,5 @@
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,91 +7,82 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steerkit as sk
-from helpers import moment_block, reference_overlap, tensor_from_block, unit_axes
+from helpers import (moment_block, reference_overlap, response_value, tensor_from_block,
+                     unit_axes)
 
 Z = np.array([0.0, 0.0, 1.0])
 FOUR_PI_3 = 4.0 * np.pi / 3.0
+SIGN, CLIPPED, CONSTANT = 0, 1, 2
+NO_VECTOR = (0.0, 0.0, 0.0)
+COLUMNS = ("weights", "hidden", "kinds", "vectors", "values")
 
 
-def single_component_model(lam, response):
-    return sk.HiddenStateModel((sk.ModelComponent(1.0, lam, response),))
+def one_row_model(lam, kind, vector=NO_VECTOR, value=0.0):
+    return sk.HiddenStateModel([1.0], [lam], [kind], [vector], [value])
 
 
 # --- responses and model validation -------------------------------------------
 
 
 def test_sign_response_values():
-    resp = sk.SignResponse(Z)
-    assert resp(np.array([0.0, 0.0, 1.0])) == 1.0
-    assert resp(np.array([1.0, 0.0, 0.0])) == 0.0
-    values = resp(np.array([[0, 0, 1], [0, 0, -1]], dtype=float))
+    # A one-row model with hidden state Z has E_NS(m, Z) = I(m).
+    ens = sk.ns_correlation_fn(one_row_model(Z, SIGN, Z))
+    assert ens(np.array([0.0, 0.0, 1.0]), Z) == 1.0
+    assert ens(np.array([1.0, 0.0, 0.0]), Z) == 0.0
+    values = ens(np.array([[0, 0, 1], [0, 0, -1]], dtype=float), np.array([Z, Z]))
     np.testing.assert_array_equal(values, [1.0, -1.0])
 
 
 def test_clipped_linear_response():
-    resp = sk.ClippedLinearResponse(np.array([0.0, 0.0, 1.6]))
-    assert resp(np.array([0.0, 0.0, 1.0])) == 1.0
-    assert resp(np.array([0.0, 0.0, 0.5])) == pytest.approx(0.8)
-    assert resp(np.array([0.0, -0.6, -0.8])) == -1.0  # past the kink at z = -1/1.6
-    mild = sk.ClippedLinearResponse(np.array([0.0, 0.3, 0.4]))
-    assert mild(np.array([0.0, 0.6, 0.8])) == pytest.approx(0.5)  # no kink below norm 1
+    ens = sk.ns_correlation_fn(one_row_model(Z, CLIPPED, (0.0, 0.0, 1.6)))
+    assert ens(np.array([0.0, 0.0, 1.0]), Z) == 1.0
+    assert ens(np.array([0.0, 0.0, 0.5]), Z) == pytest.approx(0.8)
+    assert ens(np.array([0.0, -0.6, -0.8]), Z) == -1.0  # past the kink at z = -1/1.6
+    mild = sk.ns_correlation_fn(one_row_model(Z, CLIPPED, (0.0, 0.3, 0.4)))
+    assert mild(np.array([0.0, 0.6, 0.8]), Z) == pytest.approx(0.5)  # no kink below norm 1
 
 
 def test_constant_response():
-    resp = sk.ConstantResponse(-0.25)
-    np.testing.assert_array_equal(resp(np.zeros((5, 3))), -0.25 * np.ones(5))
+    ens = sk.ns_correlation_fn(one_row_model(Z, CONSTANT, value=-0.25))
+    np.testing.assert_array_equal(ens(np.zeros((5, 3)), np.tile(Z, (5, 1))), -0.25 * np.ones(5))
 
 
 def test_response_validation():
     with pytest.raises(ValueError):
-        sk.ConstantResponse(1.5)
+        one_row_model(Z, CONSTANT, value=1.5)
     with pytest.raises(ValueError):
-        sk.ClippedLinearResponse(np.array([3.0, 0.0, 0.0]))
+        one_row_model(Z, CLIPPED, (3.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        sk.SignResponse(np.array([0.0, 0.0, 2.0]))
+        one_row_model(Z, SIGN, (0.0, 0.0, 2.0))
 
 
 def test_model_weight_validation():
-    comp = sk.ModelComponent(0.4, Z, sk.ConstantResponse(1.0))
     with pytest.raises(ValueError):
-        sk.HiddenStateModel((comp,))
+        sk.HiddenStateModel([0.4], [Z], [CONSTANT], [NO_VECTOR], [1.0])
+    with pytest.raises(ValueError):  # negative, though the weights sum to 1
+        sk.HiddenStateModel([-0.1, 1.1], [Z, Z], [CONSTANT] * 2, [NO_VECTOR] * 2, [1.0] * 2)
     with pytest.raises(ValueError):
-        sk.ModelComponent(-0.1, Z, sk.ConstantResponse(1.0))
+        one_row_model((0.0, 0.0, 0.5), CONSTANT, value=1.0)
     with pytest.raises(ValueError):
-        sk.ModelComponent(1.0, np.array([0.0, 0.0, 0.5]), sk.ConstantResponse(1.0))
-    with pytest.raises(ValueError):
-        sk.HiddenStateModel(())
+        sk.HiddenStateModel([], np.empty((0, 3)), [], np.empty((0, 3)), [])
 
 
 def test_unbounded_response_never_reaches_an_overlap():
-    # Only the three built-in kinds, matched on the exact type, can be part
-    # of a component, so neither overlap route can be handed a model whose
-    # response leaves [-1, 1]: not a callable, not a subclass, and not a
-    # stand-in that declares a built-in's attributes.
-    class LoudSign(sk.SignResponse):
-        def __call__(self, m):
-            return 3.0 * super().__call__(m)
-
-    stand_in = SimpleNamespace(axis=Z, vector=3.0 * Z)
-    rng = np.random.default_rng(5)
-    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    for response in (lambda m: 3.0 * (np.asarray(m) @ Z), LoudSign(Z), stand_in):
-        with pytest.raises(TypeError):
-            model = single_component_model(Z, response)
-            sk.model_state_overlap(tensor, model)
-        with pytest.raises(TypeError):
-            model = single_component_model(Z, response)
-            sk.model_state_overlap_mc(tensor, model, 1000, rng)
+    # A row's response is fixed by its kind, so a kind outside {0, 1, 2}, which
+    # no bounded formula reads, is refused before either overlap route sees it.
+    for kind in (3, -1, 0.5, np.nan):
+        with pytest.raises(ValueError):
+            one_row_model(Z, kind, Z)
 
 
 def test_builtin_responses_not_sampled(monkeypatch):
-    # Built-in responses are bounded by construction, so the inequality
-    # check never calls them; the overlap uses their clip formula.
-    def refuse(self, m):
-        raise AssertionError(f"{type(self).__name__} was sampled")
+    # Every kind's moment is taken in closed form, so the overlaps of drawn and
+    # saturating models neither evaluate a response nor read a model's records.
+    def refuse(*args):
+        raise AssertionError("a response was evaluated")
 
-    for cls in (sk.SignResponse, sk.ClippedLinearResponse, sk.ConstantResponse):
-        monkeypatch.setattr(cls, "__call__", refuse)
+    monkeypatch.setattr(sk.oracle, "ns_correlation_fn", refuse)
+    monkeypatch.setattr(sk.HiddenStateModel, "components", property(refuse))
     rng = np.random.default_rng(21)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
     schmidt = sk.svd3(tensor.block)
@@ -104,67 +94,83 @@ def test_builtin_responses_not_sampled(monkeypatch):
 
 def test_sign_response_rejects_nan_axis():
     with pytest.raises(ValueError):
-        sk.SignResponse([np.nan, 0.0, 1.0])
+        one_row_model(Z, SIGN, [np.nan, 0.0, 1.0])
     with pytest.raises(ValueError):
-        sk.ClippedLinearResponse([np.nan, 0.0, 0.0])
+        one_row_model(Z, CLIPPED, [np.nan, 0.0, 0.0])
 
 
 def test_constant_response_rejects_nan():
     with pytest.raises(ValueError):
-        sk.ConstantResponse(np.nan)
+        one_row_model(Z, CONSTANT, value=np.nan)
 
 
 def test_constant_response_is_a_real_float():
     # abs(1j) <= 1, so a complex constant once passed and made the columns complex.
     for value in (1j, 0.5 + 0j, np.complex128(0.5)):
         with pytest.raises(TypeError):
-            sk.ConstantResponse(value)
-    assert type(sk.ConstantResponse(np.float32(0.5)).value) is float
-    model = sk.HiddenStateModel([sk.ModelComponent(1.0, Z, sk.ConstantResponse(1))])
-    assert model.values.dtype == np.float64
+            one_row_model(Z, CONSTANT, value=value)
+    # Any complex column, an array's too (casting would drop its imaginary part).
+    columns = ([1.0], [Z], [CONSTANT], [NO_VECTOR], [0.5])
+    for i in range(5):
+        with pytest.raises(TypeError):
+            sk.HiddenStateModel(*columns[:i], np.asarray(columns[i]) + 0j, *columns[i + 1:])
+    model = one_row_model(Z, CONSTANT, value=np.float32(0.5))
+    assert type(model.components[0].response.value) is float
+    assert one_row_model(Z, CONSTANT, value=1).values.dtype == np.float64
 
 
 def test_component_rejects_non_finite_weight():
     for weight in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            sk.ModelComponent(weight, Z, sk.ConstantResponse(1.0))
-    # A stand-in that skips the component's checks is not a component.
-    stand_in = SimpleNamespace(weight=np.nan, hidden_state=Z,
-                               response=sk.ConstantResponse(1.0))
-    with pytest.raises(TypeError):
-        sk.HiddenStateModel((stand_in,))
+            sk.HiddenStateModel([weight], [Z], [CONSTANT], [NO_VECTOR], [1.0])
 
 
-def test_model_accepts_only_exact_components():
-    # A stand-in, or a subclass that skips the checks in __post_init__,
-    # would hand an unbounded response to every overlap route.
-    class Unchecked(sk.ModelComponent):
-        def __post_init__(self):
-            pass
+def test_model_accepts_only_model_shaped_columns():
+    # One length k >= 1 for every column, (k,) or (k, 3): ragged rows, 2- or
+    # 4-wide vectors, a scalar or a column of another length raise ValueError.
+    good = dict(weights=[0.5, 0.5], hidden=[Z, Z], kinds=[SIGN, CLIPPED],
+                vectors=[Z, 0.5 * Z], values=[0.0, 0.0])
+    sk.HiddenStateModel(**good)
+    for name, column in [("hidden", [Z, [0.0, 1.0]]), ("vectors", [Z, [0.0, 1.0]]),
+                         ("hidden", [[0.0, 1.0]] * 2), ("vectors", [[0.0, 0.0, 1.0, 0.0]] * 2),
+                         ("hidden", Z), ("vectors", [Z]), ("weights", 1.0),
+                         ("kinds", [SIGN]), ("values", [0.0, 0.0, 0.0])]:
+        with pytest.raises(ValueError):
+            sk.HiddenStateModel(**{**good, name: column})
 
-    loud = lambda m: 5.0 * (np.asarray(m) @ Z)  # noqa: E731
-    for comp in (SimpleNamespace(weight=1.0, hidden_state=Z, response=loud),
-                 Unchecked(1.0, Z, loud)):
-        with pytest.raises(TypeError):
-            sk.HiddenStateModel((comp,))
+
+def test_constant_row_has_no_vector():
+    # A vector on a constant row would add gain * vector to C, a moment that a
+    # constant response does not have.
+    for vector in (0.075 * Z, (np.nan, 0.0, 0.0), (1e-300, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            one_row_model(Z, CONSTANT, vector, 1.0)
+
+
+def test_only_a_constant_row_has_a_value():
+    # ns_correlation_fn adds sum_k p_k value_k lambda_k over every row, so a value
+    # on an axial row would make Monte Carlo integrate a model other than the one
+    # C describes.
+    for kind, vector in ((SIGN, Z), (CLIPPED, 0.5 * Z), (CLIPPED, NO_VECTOR)):
+        for value in (0.25, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                one_row_model(Z, kind, vector, value)
 
 
 def test_component_rejects_nan_hidden_state():
     with pytest.raises(ValueError):
-        sk.ModelComponent(1.0, [np.nan, 0.0, 0.0], sk.SignResponse(Z))
+        one_row_model([np.nan, 0.0, 0.0], SIGN, Z)
 
 
 def test_clipped_response_geometry_down_to_zero():
-    tiny = sk.ClippedLinearResponse(np.array([1e-13, 0.0, 0.0]))
     block = np.diag([0.5, -0.2, 0.1])
-    model = single_component_model(np.array([0.6, 0.0, 0.8]), tiny)
+    model = one_row_model(np.array([0.6, 0.0, 0.8]), CLIPPED, (1e-13, 0.0, 0.0))
     np.testing.assert_array_equal(moment_block(model)[1:], 0.0)  # C = x lambda^T
     expected = FOUR_PI_3 * FOUR_PI_3 * 1e-13 * 0.5 * 0.6
     assert sk.model_state_overlap(tensor_from_block(block), model) == pytest.approx(
         expected, rel=1e-14
     )
-    zero = sk.ClippedLinearResponse(np.zeros(3))
-    model = single_component_model(Z, zero)
+    model = one_row_model(Z, CLIPPED, np.zeros(3))
     np.testing.assert_array_equal(model.moment, 0.0)
     assert sk.model_state_overlap(tensor_from_block(block), model) == 0.0
 
@@ -178,14 +184,13 @@ def test_axial_response_is_the_clip_formula(norm):
     rng = np.random.default_rng(18)
     for _ in range(20):
         axis = sk.uniform_sphere(1, rng)[0]
-        response = (sk.SignResponse(axis) if norm is None
-                    else sk.ClippedLinearResponse(norm * axis))
-        model = single_component_model(Z, response)
+        model = (one_row_model(Z, SIGN, axis) if norm is None
+                 else one_row_model(Z, CLIPPED, norm * axis))
         slope = np.inf if norm is None else np.linalg.norm(model.vectors[0])
         m = sk.uniform_sphere(500, rng)
         held = moment_block(model)[:, 2]
         formula = np.clip(slope * (m @ (held / np.linalg.norm(held))), -1.0, 1.0)
-        defect = np.abs(response(m) - formula)
+        defect = np.abs(response_value(model.components[0].response, m) - formula)
         assert defect.max() <= 1e-15
 
 
@@ -202,24 +207,22 @@ def test_declared_overlaps_build_no_rule(monkeypatch):
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
     for k in range(500):
         axis = sk.uniform_sphere(1, rng)[0]
-        response = (
-            sk.ClippedLinearResponse((1.1 + k / 1000.0) * axis) if k % 3 == 0
-            else sk.SignResponse(axis) if k % 3 == 1
-            else sk.ConstantResponse(1.0)
-        )
-        sk.model_state_overlap(tensor, single_component_model(Z, response))
+        row = ((CLIPPED, (1.1 + k / 1000.0) * axis, 0.0) if k % 3 == 0
+               else (SIGN, axis, 0.0) if k % 3 == 1
+               else (CONSTANT, NO_VECTOR, 1.0))
+        sk.model_state_overlap(tensor, one_row_model(Z, *row))
 
 
 # --- E_NS evaluation -----------------------------------------------------------
 
 
 def test_ns_correlation_aligned_deterministic():
-    model = single_component_model(Z, sk.ConstantResponse(1.0))
+    model = one_row_model(Z, CONSTANT, value=1.0)
     assert sk.ns_correlation_fn(model)(np.array([1.0, 0, 0]), Z) == pytest.approx(1.0)
 
 
 def test_ns_correlation_zero_response():
-    model = single_component_model(Z, sk.ConstantResponse(0.0))
+    model = one_row_model(Z, CONSTANT, value=0.0)
     rng = np.random.default_rng(2)
     for _ in range(5):
         m, n = sk.uniform_sphere(2, rng)
@@ -227,12 +230,7 @@ def test_ns_correlation_zero_response():
 
 
 def test_ns_correlation_two_components():
-    model = sk.HiddenStateModel(
-        (
-            sk.ModelComponent(0.5, Z, sk.SignResponse(Z)),
-            sk.ModelComponent(0.5, -Z, sk.SignResponse(-Z)),
-        )
-    )
+    model = sk.HiddenStateModel([0.5, 0.5], [Z, -Z], [SIGN, SIGN], [Z, -Z], [0.0, 0.0])
     assert sk.ns_correlation_fn(model)(Z, Z) == pytest.approx(1.0)
 
 
@@ -244,8 +242,8 @@ def test_ns_correlation_fn_matches_scalar():
     batch = sk.ns_correlation_fn(model)(m, n)
     for k in range(10):
         # E_NS(m, n) = sum_k p_k I_k(m) (n . lambda_k), written out per setting pair
-        scalar = sum(c.weight * float(c.response(m[k])) * float(n[k] @ c.hidden_state)
-                     for c in model.components)
+        scalar = sum(c.weight * float(response_value(c.response, m[k]))
+                     * float(n[k] @ c.hidden_state) for c in model.components)
         assert batch[k] == pytest.approx(scalar, abs=1e-14)
         assert abs(batch[k]) <= 1.0 + 1e-12
 
@@ -301,7 +299,7 @@ def test_overlap_sign_response_closed_form():
         block = 0.8 * rng.uniform(-1, 1, size=(3, 3))
         tensor = tensor_from_block(block)
         lam, w = sk.uniform_sphere(2, rng)
-        model = single_component_model(lam, sk.SignResponse(w))
+        model = one_row_model(lam, SIGN, w)
         expected = FOUR_PI_3 * 2.0 * np.pi * float(w @ block @ lam)
         assert sk.model_state_overlap(tensor, model) == pytest.approx(
             expected, abs=1e-12
@@ -315,7 +313,7 @@ def test_overlap_linear_response_closed_form():
         tensor = tensor_from_block(block)
         lam = sk.uniform_sphere(1, rng)[0]
         w = rng.uniform(0.1, 1.0) * sk.uniform_sphere(1, rng)[0]
-        model = single_component_model(lam, sk.ClippedLinearResponse(w))
+        model = one_row_model(lam, CLIPPED, w)
         expected = FOUR_PI_3**2 * float(w @ block @ lam)
         assert sk.model_state_overlap(tensor, model) == pytest.approx(
             expected, abs=1e-12
@@ -330,9 +328,7 @@ def test_overlap_clipped_response_closed_form():
         lam = sk.uniform_sphere(1, rng)[0]
         scale = rng.uniform(1.05, 2.0)
         w_hat = sk.uniform_sphere(1, rng)[0]
-        model = single_component_model(
-            lam, sk.ClippedLinearResponse(scale * w_hat)
-        )
+        model = one_row_model(lam, CLIPPED, scale * w_hat)
         # piecewise integration of clip(scale*u, -1, 1) * u over [-1, 1]
         expected = (
             FOUR_PI_3
@@ -350,9 +346,7 @@ def test_overlap_constant_response_vanishes():
     rng = np.random.default_rng(9)
     tensor = tensor_from_block(0.8 * rng.uniform(-1, 1, size=(3, 3)))
     for value in (1.0, 0.0):
-        model = single_component_model(
-            sk.uniform_sphere(1, rng)[0], sk.ConstantResponse(value)
-        )
+        model = one_row_model(sk.uniform_sphere(1, rng)[0], CONSTANT, value=value)
         assert sk.model_state_overlap(tensor, model) == 0.0
 
 
@@ -360,15 +354,14 @@ def test_axial_moments_match_closed_forms():
     # 2 pi int_{-1}^{1} f(z) z dz, written out by hand per response family:
     # sign 2 pi; clip(r z) 4 pi r / 3 for r <= 1, 4 pi (1/2 - 1/(6 r^2)) above.
     axis = np.array([2.0, -3.0, 6.0]) / 7.0
-    cases = [(sk.SignResponse(axis), 2.0 * np.pi)]
+    cases = [(SIGN, axis, 2.0 * np.pi)]
     for r in (0.05, 0.5, 1.0):
-        cases.append((sk.ClippedLinearResponse(r * axis), 4.0 * np.pi * r / 3.0))
+        cases.append((CLIPPED, r * axis, 4.0 * np.pi * r / 3.0))
     for r in (1.0, 1.0 + 1e-9, 1.5, 2.0):
-        cases.append((sk.ClippedLinearResponse(r * axis),
-                      4.0 * np.pi * (0.5 - 1.0 / (6.0 * r * r))))
+        cases.append((CLIPPED, r * axis, 4.0 * np.pi * (0.5 - 1.0 / (6.0 * r * r))))
     tensor = tensor_from_block(np.eye(3))
-    for response, moment in cases:
-        model = single_component_model(axis, response)
+    for kind, vector, moment in cases:
+        model = one_row_model(axis, kind, vector)
         lhs = sk.model_state_overlap(tensor, model)
         assert abs(lhs - FOUR_PI_3 * moment) <= 1e-14 * FOUR_PI_3 * moment, moment
 
@@ -382,15 +375,15 @@ def test_moments_match_panel_quadrature():
              1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-9, np.inf]
     for norm in norms:
         if np.isinf(norm):
-            response, breakpoints = sk.SignResponse(Z), (0.0,)
+            row, breakpoints = (SIGN, Z), (0.0,)
         else:
-            response = sk.ClippedLinearResponse(norm * Z)
+            row = (CLIPPED, norm * Z)
             breakpoints = (-1.0 / norm, 1.0 / norm) if norm > 1.0 else ()
         quadrature = sk.integrate(
             sk.sphere_grid(6, breakpoints),
             lambda m: np.clip(norm * m[:, 2], -1.0, 1.0) * m[:, 2],
         )
-        moment = moment_block(single_component_model(Z, response))[2, 2] / FOUR_PI_3
+        moment = moment_block(one_row_model(Z, *row))[2, 2] / FOUR_PI_3
         assert abs(moment - quadrature) <= 1e-15 * max(quadrature, 1.0), norm
 
 
@@ -404,8 +397,8 @@ def test_overlap_axes_near_poles(axis):
     block = np.diag([0.3, -0.5, 0.9])
     tensor = tensor_from_block(block)
     lam = np.array([0.0, 0.6, 0.8])
-    sign = single_component_model(lam, sk.SignResponse(w))
-    clipped = single_component_model(lam, sk.ClippedLinearResponse(1.5 * w))
+    sign = one_row_model(lam, SIGN, w)
+    clipped = one_row_model(lam, CLIPPED, 1.5 * w)
     projection = float(w @ block @ lam)
     bound = 8.0 * np.pi**2 / 3.0 * 0.9
     assert abs(sk.model_state_overlap(tensor, sign)
@@ -419,7 +412,7 @@ def test_overlap_agrees_with_full_product_quadrature():
     rng = np.random.default_rng(11)
     tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
     lam, w = sk.uniform_sphere(2, rng)
-    model = single_component_model(lam, sk.ClippedLinearResponse(0.7 * w))
+    model = one_row_model(lam, CLIPPED, 0.7 * w)
     reduced = sk.model_state_overlap(tensor, model)
     full = sk.inner_product(
         sk.correlation_fn(tensor),
@@ -492,25 +485,22 @@ def test_random_model_is_a_stack_of_one():
 
 
 def _extra_model(rng):
-    # Components the random draw never makes: a response in [-1, 1] that is
-    # constant but not +-1, and a zero clipped vector.
-    responses = [sk.ConstantResponse(rng.uniform(-1.0, 1.0)),
-                 sk.ClippedLinearResponse(np.zeros(3))]
+    # Rows the random draw never makes: a constant in [-1, 1] but not +-1, and
+    # a zero clipped vector.
+    value = rng.uniform(-1.0, 1.0)
     weights = rng.standard_exponential(2)
-    return sk.HiddenStateModel(tuple(
-        sk.ModelComponent(w, sk.uniform_sphere(1, rng)[0], r)
-        for w, r in zip((weights / weights.sum()).tolist(), responses)))
+    hidden = [sk.uniform_sphere(1, rng)[0] for _ in range(2)]
+    return sk.HiddenStateModel(weights / weights.sum(), hidden, [CONSTANT, CLIPPED],
+                               np.zeros((2, 3)), [value, 0.0])
 
 
 def test_random_models_build_no_objects(monkeypatch):
-    # The draw goes from arrays to columns; no component or response object
-    # is built on the way, and the overlaps still meet the closed forms.
+    # The draw goes from arrays to columns; it never reads ``components``, the
+    # one place that builds records, and the overlaps still meet the closed forms.
     def refuse(self):
-        raise AssertionError(f"{type(self).__name__} was built")
+        raise AssertionError("a model's records were built")
 
-    for cls in (sk.ModelComponent, sk.SignResponse, sk.ClippedLinearResponse,
-                sk.ConstantResponse):
-        monkeypatch.setattr(cls, "__post_init__", refuse)
+    monkeypatch.setattr(sk.HiddenStateModel, "components", property(refuse))
     rng = np.random.default_rng(23)
     models = sk.random_models(rng, 1000)
     assert {int(k) for m in models for k in m.kinds} == {0, 1, 2}
@@ -522,23 +512,37 @@ def test_random_models_build_no_objects(monkeypatch):
             assert abs(value - reference_overlap(tensor.block, model)) <= 1e-12 * bound
 
 
-def test_model_from_its_components_has_the_same_overlaps():
-    rng = np.random.default_rng(24)
-    tensor = sk.pauli_expansion(sk.random_density_matrix(rng))
-    models = [*sk.random_models(rng, 300), _extra_model(rng)]
-    rebuilt = [sk.HiddenStateModel(model.components) for model in models]
-    for model, copy in zip(models, rebuilt):
-        assert sk.model_state_overlap(tensor, copy) == sk.model_state_overlap(tensor, model)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 50))
+def test_models_rebuild_from_their_columns(seed, count):
+    # The constructor and the draw share one check and one moment computation, so a
+    # model rebuilt from its columns has its moment table bit for bit, and each
+    # record that ``components`` reads back, the view perfbench takes, is its row.
+    rng = np.random.default_rng(seed)
+    for model in [*sk.random_models(rng, count), _extra_model(rng)]:
+        columns = [getattr(model, name) for name in COLUMNS]
+        copy = sk.HiddenStateModel(*columns)
+        assert copy.moment.tobytes() == model.moment.tobytes()
+        for name, column in zip(COLUMNS, columns):
+            assert getattr(copy, name).dtype == column.dtype
+            assert getattr(copy, name).tobytes() == column.tobytes()
+        records = model.components
+        assert len(records) == len(model.weights)
+        for record, weight, hidden, kind, vector, value in zip(records, *columns):
+            assert record.weight == weight
+            np.testing.assert_array_equal(record.hidden_state, hidden)
+            assert type(record.response) is (
+                sk.SignResponse, sk.ClippedLinearResponse, sk.ConstantResponse)[kind]
+            (field,) = record.response
+            np.testing.assert_array_equal(field, value if kind == CONSTANT else vector)
 
 
-# One of each kind a hand-built component can have: a sign, a clipped vector
-# of norm up to 1 and above 1, a constant in [-1, 1] and the zero vector.
-def _response(kind, axis, r, value):
-    return {"sign": lambda: sk.SignResponse(axis),
-            "mild": lambda: sk.ClippedLinearResponse(r * axis),
-            "steep": lambda: sk.ClippedLinearResponse((1.0 + r) * axis),
-            "constant": lambda: sk.ConstantResponse(value),
-            "zero": lambda: sk.ClippedLinearResponse(np.zeros(3))}[kind]()
+# One of each kind a hand-built row can have: a sign, a clipped vector of
+# norm up to 1 and above 1, a constant in [-1, 1] and the zero vector.
+def _row(kind, axis, r, value):
+    return {"sign": (SIGN, axis, 0.0), "mild": (CLIPPED, r * axis, 0.0),
+            "steep": (CLIPPED, (1.0 + r) * axis, 0.0), "constant": (CONSTANT, NO_VECTOR, value),
+            "zero": (CLIPPED, NO_VECTOR, 0.0)}[kind]
 
 
 @settings(max_examples=60, deadline=None)
@@ -553,12 +557,9 @@ def test_overlap_is_the_term_by_term_sum(seed, kinds):
     bound = sk.ns_bound(sk.svd3(tensor.block))
     weights = rng.standard_exponential(len(kinds))
     points = sk.uniform_sphere(2 * len(kinds), rng)
-    hand = sk.HiddenStateModel(tuple(
-        sk.ModelComponent(w, lam, _response(kind, axis, r, value))
-        for w, kind, lam, axis, r, value in zip(
-            (weights / weights.sum()).tolist(), kinds, points[::2], points[1::2],
-            rng.uniform(0.0, 1.0, len(kinds)).tolist(),
-            rng.uniform(-1.0, 1.0, len(kinds)).tolist())))
+    rows = map(_row, kinds, points[1::2], rng.uniform(0.0, 1.0, len(kinds)).tolist(),
+               rng.uniform(-1.0, 1.0, len(kinds)).tolist())
+    hand = sk.HiddenStateModel(weights / weights.sum(), points[::2], *zip(*rows))
     models = [*sk.random_models(rng, 20), hand]
     for model in models:
         value = sk.model_state_overlap(tensor, model)
@@ -592,24 +593,25 @@ def test_model_columns_are_read_only():
 
 
 def test_component_keeps_no_view_of_its_inputs():
-    # The hidden state and the sign axis are validated copies: scaling the
-    # caller's array after construction changes neither them nor the overlap.
+    # The columns are checked copies: scaling the caller's arrays after
+    # construction changes neither the model's rows, its records nor the overlap.
     h = np.array([0.0, 0.0, 1.0])
-    component = sk.ModelComponent(1.0, h, sk.SignResponse(h))
+    model = sk.HiddenStateModel(np.ones(1), h[None], np.zeros(1, int), h[None], np.zeros(1))
     h *= -3.0
-    for v in (component.hidden_state, component.response.axis):
+    component = model.components[0]
+    for v in (model.hidden[0], model.vectors[0], component.hidden_state, component.response.axis):
         np.testing.assert_array_equal(v, Z)
         with pytest.raises(ValueError):
             v[0] = 1.0
     tensor = sk.pauli_expansion(sk.werner(1.0))
     target = -8.0 * np.pi**2 / 3.0 * sk.svd3(tensor.block).sigma[0]
-    lhs = sk.model_state_overlap(tensor, sk.HiddenStateModel((component,)))
+    lhs = sk.model_state_overlap(tensor, model)
     assert abs(lhs - target) <= 1e-12 * abs(target)
 
 
 def test_random_models_check_their_draw(monkeypatch):
-    # The draw's hidden states and axes are checked for unit norm once per
-    # stack, as a hand-built component's are when it is built.
+    # The draw's hidden states and sign axes are checked for unit norm once per
+    # stack, by the check a hand-built model's columns go through.
     draw = sk.oracle.uniform_sphere
     monkeypatch.setattr(sk.oracle, "uniform_sphere", lambda n, rng: 1.001 * draw(n, rng))
     with pytest.raises(ValueError, match="not a unit vector"):
@@ -691,7 +693,7 @@ def test_monte_carlo_overlap_consistent():
 @pytest.mark.parametrize("samples", [0, 1])
 def test_monte_carlo_needs_two_samples(samples):
     tensor = sk.pauli_expansion(sk.werner(0.7))
-    model = single_component_model(Z, sk.SignResponse(Z))
+    model = one_row_model(Z, SIGN, Z)
     with pytest.raises(ValueError):
         sk.model_state_overlap_mc(tensor, model, samples, np.random.default_rng(0))
 

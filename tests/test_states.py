@@ -346,17 +346,23 @@ def test_non_signaling():
 # --- vector checks -----------------------------------------------------------
 
 
+def unit_row_model(v):
+    # A one-row model whose hidden state and sign axis are both v: the package's
+    # one check of unit vectors, to UNIT_NORM_TOL.
+    return sk.HiddenStateModel([1.0], [v], [0], [v], [0.0])
+
+
 def test_unit_vector_tolerance():
     v = np.array([1.0, 0.0, 1e-13])
-    sk.states.unit_vector(v)
+    unit_row_model(v)
     with pytest.raises(ValueError):
-        sk.states.unit_vector([1.0, 0.0, 1e-5])
+        unit_row_model([1.0, 0.0, 1e-5])
 
 
 def test_unit_vector_rejects_non_finite():
     for bad in ([np.nan, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]):
         with pytest.raises(ValueError):
-            sk.states.unit_vector(bad)
+            unit_row_model(bad)
 
 
 def test_matrices_are_read_only():
