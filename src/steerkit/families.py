@@ -1,4 +1,4 @@
-"""Built-in noise families and criterion sweeps over their parameter grid."""
+"""White-noise families of any validated endpoint, the built-ins, and sweeps."""
 
 from __future__ import annotations
 
@@ -66,49 +66,43 @@ def noisy_schmidt(alpha: float, v: float) -> DensityMatrix4:
 
 @dataclass(frozen=True, eq=False)
 class NoiseFamily:
-    """One-parameter family v -> v|psi><psi| + (1 - v) I/4, with any shape
+    """One-parameter family v -> v·rho1 + (1 - v) I/4, with any shape
     parameters fixed.
 
-    The family declares ``pure_state`` = psi, so its correlation block is
-    exactly v·T(1). The v = 1 endpoint |psi><psi| is validated once; I/4
-    is a state, so every state between them is one by convexity. T(1) is
-    kept as ``unit_block``, with its singular values ``unit_sigma`` (from
-    svd3) and squared norm ``unit_norm_sq``; sweeps and thresholds scale
-    these instead of calling ``state_at``, which stays the reference for
-    single states. Compared by identity.
+    ``endpoint`` is rho1, a validated DensityMatrix4, pure or mixed
+    (pauli_expansion raises TypeError for anything else). I/4 has no
+    correlation block and is a state, so the family's block is exactly
+    v·T(1) and every state in it is one by convexity. T(1) is kept as
+    ``unit_block``, with its singular values ``unit_sigma`` (from svd3) and
+    squared norm ``unit_norm_sq``; sweeps and thresholds scale these
+    instead of calling ``state_at``, which stays the reference for single
+    states. Compared by identity.
     """
 
     name: str
     state_at: Callable[[float], DensityMatrix4]
-    pure_state: np.ndarray = field(repr=False)
+    endpoint: DensityMatrix4 = field(repr=False)
     shape_parameters: Mapping[str, float] = field(default_factory=dict)
     unit_block: np.ndarray = field(init=False, repr=False)
     unit_sigma: np.ndarray = field(init=False, repr=False)
     unit_norm_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        psi = np.array(self.pure_state, dtype=complex)
-        psi.setflags(write=False)
-        object.__setattr__(self, "pure_state", psi)
-        # An inf or huge psi overflows its outer product; it exits as NonFinite.
-        with np.errstate(over="ignore", invalid="ignore"):
-            pure = _noisy_pure(psi, 1.0)
-        block = pauli_expansion(pure).block
+        block = pauli_expansion(self.endpoint).block
         object.__setattr__(self, "unit_block", block)
         object.__setattr__(self, "unit_sigma", svd3(block).sigma)
         object.__setattr__(self, "unit_norm_sq", float(block_norm_sq(block)))
 
 
 def werner_family() -> NoiseFamily:
-    return NoiseFamily("werner", werner, _SINGLET)
+    return NoiseFamily("werner", werner, werner(1.0))
 
 
 def noisy_schmidt_family(alpha: float) -> NoiseFamily:
-    _check_alpha(alpha)
     return NoiseFamily(
         "noisy-schmidt",
         partial(noisy_schmidt, alpha),
-        _schmidt_vector(alpha),
+        noisy_schmidt(alpha, 1.0),
         {"alpha": float(alpha)},
     )
 

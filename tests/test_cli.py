@@ -127,6 +127,16 @@ def test_analyze_malformed_cell(tmp_path, capsys, cell):
     assert "[re, im]" in err
 
 
+def test_analyze_label_must_be_a_string(tmp_path, capsys):
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps({**state_to_document(sk.werner(0.5)), "label": 7}))
+    assert run(capsys, "analyze", str(path)) == (1, "", "error: label must be a string\n")
+
+
+def test_analyze_needs_a_document_or_family(capsys):
+    assert run(capsys, "analyze") == (1, "", "error: give a document path or --family\n")
+
+
 def test_analyze_invalid_state_document(tmp_path, capsys):
     matrix = [[[0.0, 0.0]] * 4 for _ in range(4)]
     for k, value in enumerate([2.0, -1.0, 0.0, 0.0]):
@@ -483,9 +493,10 @@ def test_verify_full_passes(capsys):
     assert "ns overlap Monte Carlo (1e6 samples)" in out
 
 
-def test_verify_rejects_negative_seed(capsys):
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_verify_rejects_negative_seed(capsys, seed):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--seed", "-1"])
+        cli.main(["verify", "--seed", seed])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
@@ -595,6 +606,7 @@ def with_options(argv, **options):
 @example(json.dumps({"matrix": [[[1e308 if i == j else 0.0, 0.0] for j in range(4)]
                                 for i in range(4)]}).encode())
 @example(json.dumps(state_to_document(sk.werner(0.5))).encode())
+@example(json.dumps({**state_to_document(sk.werner(0.5)), "label": 7}).encode())
 def test_analyze_document_property(tmp_path_factory, document):
     path = tmp_path_factory.getbasetemp() / "property_document.json"
     path.write_bytes(document)

@@ -182,12 +182,13 @@ def test_noisy_schmidt_family_checks_alpha_when_built():
             sk.noisy_schmidt_family(bad)
 
 
-def test_declared_pure_state_is_validated():
-    # An overflowing outer product exits as a diagnostic, not a RuntimeWarning.
-    for psi in (np.ones(4), [np.nan, 1.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0],
-                [1e200, 0.0, 0.0, 0.0], [1e155, 1e155, 0.0, 0.0]):
-        with pytest.raises(sk.StateValidationError):
-            sk.NoiseFamily("unnormalised", sk.werner, psi)
+def test_endpoint_must_be_a_validated_state():
+    # pauli_expansion is the one check; a non-finite matrix is refused by
+    # validate_state before it can become an endpoint (test_states.py).
+    for endpoint in (sk.werner(1.0).matrix, np.array([0.0, 1.0, -1.0, 0.0]),
+                     sk.pauli_expansion(sk.werner(1.0))):
+        with pytest.raises(TypeError):
+            sk.NoiseFamily("unvalidated", sk.werner, endpoint)
 
 
 def test_family_spectrum_is_one_svd3_call(monkeypatch):
@@ -313,18 +314,22 @@ def test_thresholds_and_sweeps_take_no_svd(monkeypatch):
     assert len(calls) == 1
 
 
-def noisy_state(psi, v):
-    rho = v * np.outer(psi, psi.conj()) + (1.0 - v) * np.eye(4) / 4.0
-    return sk.validate_state(rho)
+def random_endpoint(rng, rank):
+    """G G†/Tr with G a 4 x rank complex Ginibre matrix; rank 1 is pure."""
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return sk.validate_state(rho / np.trace(rho).real)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_random_pure_family_scales_its_spectrum(seed):
-    rng = np.random.default_rng(seed)
-    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    psi /= np.linalg.norm(psi)
-    family = sk.NoiseFamily("random", lambda v: noisy_state(psi, v), psi)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_random_endpoint_family_scales_its_spectrum(seed, rank):
+    endpoint = random_endpoint(np.random.default_rng(seed), rank)
+
+    def state_at(v):
+        return sk.validate_state(v * endpoint.matrix + (1.0 - v) * np.eye(4) / 4.0)
+
+    family = sk.NoiseFamily("random", state_at, endpoint)
     # v·sigma(T(1)) is not the per-point SVD bit for bit off the diagonal
     v_grid = np.linspace(0.0, 1.0, 21)
     result = sk.sweep(family, v_grid)
@@ -333,9 +338,8 @@ def test_random_pure_family_scales_its_spectrum(seed):
         assert np.max(np.abs(result.sigma[k] - reference)) <= 1e-14
     for c in sk.Criterion:
         found = threshold_or_none(family, c)
-        margin_at = lambda v: criteria_for_state(noisy_state(psi, v))[3][c][2]
-        if found is None:
-            assert not detected(margin_at(1.0))
-            continue
-        assert detected(margin_at(min(1.0, found * (1.0 + 1e-9))))
-        assert not detected(margin_at(found * (1.0 - 1e-9)))
+        margin_at = lambda v: criteria_for_state(state_at(v))[3][c][2]
+        assert (found is None) == (not detected(margin_at(1.0)))
+        if found is not None:
+            assert detected(margin_at(min(1.0, found * (1.0 + 1e-9))))
+            assert not detected(margin_at(found * (1.0 - 1e-9)))

@@ -25,6 +25,17 @@ def test_weights_sum_to_full_solid_angle(kwargs):
     assert np.max(np.abs(np.linalg.norm(grid.points, axis=1) - 1.0)) <= 1e-12
 
 
+def test_sphere_grid_needs_a_node():
+    with pytest.raises(ValueError, match="n_theta"):
+        sk.sphere_grid(0)
+
+
+@pytest.mark.parametrize("b", [1.0, -1.0, 1.5, float("nan")])
+def test_sphere_grid_breakpoints_inside_open_interval(b):
+    with pytest.raises(ValueError, match="breakpoints"):
+        sk.sphere_grid(4, breakpoints=(b,))
+
+
 def test_grid_invariant_enforced():
     grid = sk.sphere_grid(2)
     with pytest.raises(ValueError):

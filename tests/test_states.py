@@ -218,6 +218,21 @@ def test_tensor_rejects_nan_entry():
         sk.CorrelationTensor(full)
 
 
+def test_tensor_requires_4x4_table():
+    with pytest.raises(ValueError, match="4x4"):
+        sk.CorrelationTensor(np.eye(3))
+
+
+def test_tensor_entry_bound_sits_between_5e_9_and_2e_8():
+    # A valid state's entries reach 1 + 3.6e-9 (test_cli.py), so 1 + 5e-9 passes.
+    full = np.eye(4)
+    full[1, 2] = 1.0 + 5e-9
+    sk.CorrelationTensor(full)
+    full[1, 2] = 1.0 + 2e-8
+    with pytest.raises(ValueError, match="exceeds 1"):
+        sk.CorrelationTensor(full)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_tensor_entries_bounded(seed):
